@@ -12,6 +12,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"pdpasim/internal/wire"
 )
 
 // maxErrorBody bounds how much of an error response the client reads.
@@ -66,29 +68,6 @@ func New(base string, opts ...Option) *Client {
 // Base returns the daemon base URL the client targets.
 func (c *Client) Base() string { return c.base }
 
-// APIError is a non-2xx response carrying a well-formed v1 error envelope.
-type APIError struct {
-	// Status is the HTTP status code.
-	Status int
-	// Code is the envelope's stable machine-readable discriminator
-	// ("overloaded", "queue_full", "draining", "not_found", ...).
-	Code string
-	// Message is the envelope's free-form message.
-	Message string
-	// RetryAfterSeconds is the envelope's retry hint; 0 means none.
-	RetryAfterSeconds int
-}
-
-func (e *APIError) Error() string {
-	return fmt.Sprintf("pdpad: %s (%d): %s", e.Code, e.Status, e.Message)
-}
-
-// IsShed reports whether the error is an admission rejection worth
-// retrying after the advertised pause (a 429 shed).
-func (e *APIError) IsShed() bool {
-	return e.Status == http.StatusTooManyRequests
-}
-
 // ContractError is a response outside the v1 contract: a non-2xx without a
 // well-formed envelope, a 2xx whose body does not decode, or a 429 whose
 // Retry-After header disagrees with its envelope hint.
@@ -101,15 +80,6 @@ type ContractError struct {
 
 func (e *ContractError) Error() string {
 	return fmt.Sprintf("pdpad: response outside the v1 contract (status %d): %s", e.Status, e.Detail)
-}
-
-// errorEnvelope is the wire form of every non-2xx v1 response.
-type errorEnvelope struct {
-	Error struct {
-		Code              string `json:"code"`
-		Message           string `json:"message"`
-		RetryAfterSeconds int    `json:"retry_after_seconds"`
-	} `json:"error"`
 }
 
 // Do performs one JSON round trip against the v1 surface: method and path
@@ -198,17 +168,13 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 // decodeAPIError turns a non-2xx response into *APIError, or *ContractError
 // when the response violates the envelope contract.
 func decodeAPIError(resp *http.Response, data []byte) error {
-	var env errorEnvelope
+	var env wire.ErrorResponse
 	if err := json.Unmarshal(data, &env); err != nil || env.Error.Code == "" {
 		return &ContractError{Status: resp.StatusCode,
 			Detail: "non-2xx without a well-formed error envelope", Body: data}
 	}
-	apiErr := &APIError{
-		Status:            resp.StatusCode,
-		Code:              env.Error.Code,
-		Message:           env.Error.Message,
-		RetryAfterSeconds: env.Error.RetryAfterSeconds,
-	}
+	apiErr := &env.Error
+	apiErr.Status = resp.StatusCode
 	// The shed contract: a 429 must advertise a positive hint, identically
 	// in the envelope and the Retry-After header.
 	if resp.StatusCode == http.StatusTooManyRequests {

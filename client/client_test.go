@@ -4,18 +4,22 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"pdpasim"
 	"pdpasim/client"
-	"pdpasim/internal/fleet"
 	"pdpasim/internal/runqueue"
 	"pdpasim/internal/server"
+	"pdpasim/internal/wire"
 )
 
 // mustJSON marshals v or fails the test.
@@ -28,139 +32,132 @@ func mustJSON(t *testing.T, v any) string {
 	return string(b)
 }
 
-// TestWireDrift pins the client mirrors to the daemon's wire types: the
-// same values must marshal to the same JSON, field for field. A failure
-// here means a daemon type changed without its client mirror.
-func TestWireDrift(t *testing.T) {
-	at := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
-	later := at.Add(3 * time.Second)
+var update = flag.Bool("update", false, "rewrite the wire goldens under testdata/")
 
-	serverRun := server.RunView{
-		ID: "run-000001", State: "done", Error: "boom",
-		SubmittedAt: at, StartedAt: &at, FinishedAt: &later,
-		WallSeconds: 3, CacheKey: "k",
-		Spec: runqueue.Spec{
-			Workload: runqueue.WorkloadSpec{Mix: "w1", Load: 0.6, NCPU: 32, WindowS: 60, Seed: 7, UniformRequest: 4},
-			Options: runqueue.RunOptions{Policy: "pdpa", TargetEff: 0.7, HighEff: 0.9, Step: 2, BaseMPL: 3,
-				MaxStableTransitions: 5, FixedMPL: 8, NoiseSigma: 0.01, Seed: 9, NUMANodeSize: 4},
-		},
-		Result: json.RawMessage(`{"ok":true}`),
-	}
-	clientRun := client.RunView{
-		ID: "run-000001", State: "done", Error: "boom",
-		SubmittedAt: at, StartedAt: &at, FinishedAt: &later,
-		WallSeconds: 3, CacheKey: "k",
-		Spec: client.Spec{
-			Workload: client.Workload{Mix: "w1", Load: 0.6, NCPU: 32, WindowS: 60, Seed: 7, UniformRequest: 4},
-			Options: client.RunOptions{Policy: "pdpa", TargetEff: 0.7, HighEff: 0.9, Step: 2, BaseMPL: 3,
-				MaxStableTransitions: 5, FixedMPL: 8, NoiseSigma: 0.01, Seed: 9, NUMANodeSize: 4},
-		},
-		Result: json.RawMessage(`{"ok":true}`),
-	}
-	if a, b := mustJSON(t, serverRun), mustJSON(t, clientRun); a != b {
-		t.Errorf("RunView drift:\nserver %s\nclient %s", a, b)
-	}
+// wireCase is one value whose JSON encoding a golden line pins.
+type wireCase struct {
+	name string
+	v    any
+}
 
-	serverSubmit := server.SubmitRequest{
-		Workload:  serverRun.Spec.Workload,
-		Options:   serverRun.Spec.Options,
-		DeadlineS: 5,
+// checkWireGolden encodes each case through the client's types and
+// compares the lines "<name> <json>" byte for byte against testdata/file.
+// Zero values are cases of their own: omitempty drift only shows on zero
+// fields.
+func checkWireGolden(t *testing.T, file string, cases []wireCase) {
+	t.Helper()
+	var got strings.Builder
+	for _, c := range cases {
+		fmt.Fprintf(&got, "%s %s\n", c.name, mustJSON(t, c.v))
 	}
-	clientSubmit := client.SubmitRunRequest{
-		Workload:  clientRun.Spec.Workload,
-		Options:   clientRun.Spec.Options,
-		DeadlineS: 5,
+	path := filepath.Join("testdata", file)
+	if *update {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
 	}
-	if a, b := mustJSON(t, serverSubmit), mustJSON(t, clientSubmit); a != b {
-		t.Errorf("SubmitRequest drift:\nserver %s\nclient %s", a, b)
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	serverSweep := server.SweepSubmitRequest{
-		SweepSpec: runqueue.SweepSpec{
-			Policies: []string{"equip"}, Mixes: []string{"w1"}, Loads: []float64{0.5},
-			Seeds: []int64{1, 2}, NCPU: 32, WindowS: 30, UniformRequest: 2,
-			Options: serverRun.Spec.Options,
-		},
-		DeadlineS: 5,
-	}
-	clientSweep := client.SubmitSweepRequest{
-		SweepSpec: client.SweepSpec{
-			Policies: []string{"equip"}, Mixes: []string{"w1"}, Loads: []float64{0.5},
-			Seeds: []int64{1, 2}, NCPU: 32, WindowS: 30, UniformRequest: 2,
-			Options: clientRun.Spec.Options,
-		},
-		DeadlineS: 5,
-	}
-	if a, b := mustJSON(t, serverSweep), mustJSON(t, clientSweep); a != b {
-		t.Errorf("SweepSubmitRequest drift:\nserver %s\nclient %s", a, b)
-	}
-
-	serverEvent := runqueue.Event{RunID: "run-000001", State: runqueue.Running, At: at, Message: "m"}
-	clientEvent := client.Event{RunID: "run-000001", State: "running", At: at, Message: "m"}
-	if a, b := mustJSON(t, serverEvent), mustJSON(t, clientEvent); a != b {
-		t.Errorf("Event drift:\nserver %s\nclient %s", a, b)
-	}
-
-	serverVersion := server.VersionInfo{Service: "pdpad", Version: "v1", GoVersion: "go", APIRevision: 1, Role: "node"}
-	clientVersion := client.VersionInfo{Service: "pdpad", Version: "v1", GoVersion: "go", APIRevision: 1, Role: "node"}
-	if a, b := mustJSON(t, serverVersion), mustJSON(t, clientVersion); a != b {
-		t.Errorf("VersionInfo drift:\nserver %s\nclient %s", a, b)
-	}
-
-	serverReconcileReq := server.ReconcileRequest{IDs: []string{"run-000001", "run-000002"}}
-	clientReconcileReq := client.ReconcileRequest{IDs: []string{"run-000001", "run-000002"}}
-	if a, b := mustJSON(t, serverReconcileReq), mustJSON(t, clientReconcileReq); a != b {
-		t.Errorf("ReconcileRequest drift:\nserver %s\nclient %s", a, b)
-	}
-
-	serverReconcile := server.ReconcileResponse{Runs: []server.RunView{serverRun}, Missing: []string{"run-000009"}}
-	clientReconcile := client.ReconcileResult{Runs: []client.RunView{clientRun}, Missing: []string{"run-000009"}}
-	if a, b := mustJSON(t, serverReconcile), mustJSON(t, clientReconcile); a != b {
-		t.Errorf("ReconcileResponse drift:\nserver %s\nclient %s", a, b)
+	gotLines := strings.Split(got.String(), "\n")
+	wantLines := strings.Split(string(want), "\n")
+	for i := 0; i < max(len(gotLines), len(wantLines)); i++ {
+		var g, w string
+		if i < len(gotLines) {
+			g = gotLines[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Errorf("%s line %d drifted:\ngot  %s\nwant %s", file, i+1, g, w)
+		}
 	}
 }
 
-// TestNodePlaneWireDrift pins the node-plane wire shapes — register and
-// heartbeat in both directions — to their client mirrors, the same way
-// TestWireDrift pins the run plane.
+// TestWireDrift pins the run-plane wire shapes, encoded through the client's
+// types, to testdata/run_plane.golden. The daemon and the coordinator encode
+// the very same types, so a failure here is a change to the v1 surface.
+func TestWireDrift(t *testing.T) {
+	at := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
+	later := at.Add(3 * time.Second)
+	spec := client.Spec{
+		Workload: client.Workload{Mix: "w1", Load: 0.6, NCPU: 32, WindowS: 60, Seed: 7, UniformRequest: 4},
+		Options: client.RunOptions{Policy: "pdpa", TargetEff: 0.7, HighEff: 0.9, Step: 2, BaseMPL: 3,
+			MaxStableTransitions: 5, FixedMPL: 8, NoiseSigma: 0.01, Seed: 9, NUMANodeSize: 4},
+	}
+	run := client.RunView{
+		ID: "run-000001", State: "done", Error: "boom",
+		SubmittedAt: at, StartedAt: &at, FinishedAt: &later,
+		WallSeconds: 3, CacheKey: "k", Spec: spec,
+		Result: json.RawMessage(`{"ok":true}`),
+	}
+	sweep := client.SweepSpec{
+		Policies: []string{"equip"}, Mixes: []string{"w1"}, Loads: []float64{0.5},
+		Seeds: []int64{1, 2}, NCPU: 32, WindowS: 30, UniformRequest: 2, Options: spec.Options,
+	}
+	sweepView := client.SweepView{
+		ID: "sweep-000001", State: "done", Done: 2, Total: 2, SubmittedAt: at, Spec: sweep,
+		RunIDs: []string{"run-000001", "run-000002"}, Errors: []string{"e"},
+		Cells: json.RawMessage(`[{"policy":"equip"}]`),
+	}
+	checkWireGolden(t, "run_plane.golden", []wireCase{
+		{"RunView", run},
+		{"RunView/zero", client.RunView{}},
+		{"SubmitRunRequest", client.SubmitRunRequest{Workload: spec.Workload, Options: spec.Options, DeadlineS: 5}},
+		{"SubmitRunRequest/zero", client.SubmitRunRequest{}},
+		{"SubmitResult", client.SubmitResult{ID: "run-000001", State: "queued", CacheHit: true, Deduped: true}},
+		{"SubmitResult/zero", client.SubmitResult{}},
+		{"RunPage", client.RunPage{Runs: []client.RunView{run}, NextCursor: "c"}},
+		{"RunPage/zero", client.RunPage{}},
+		{"Event", client.Event{RunID: "run-000001", State: "running", At: at, Message: "m"}},
+		{"Event/zero", client.Event{}},
+		{"SubmitSweepRequest", client.SubmitSweepRequest{SweepSpec: sweep, DeadlineS: 5}},
+		{"SubmitSweepRequest/zero", client.SubmitSweepRequest{}},
+		{"SweepSubmitResult", client.SweepSubmitResult{ID: "sweep-000001", RunIDs: []string{"run-000001"}, CacheHits: 1, Deduped: 1}},
+		{"SweepSubmitResult/zero", client.SweepSubmitResult{}},
+		{"SweepView", sweepView},
+		{"SweepView/zero", client.SweepView{}},
+		{"SweepPage", client.SweepPage{Sweeps: []client.SweepView{sweepView}, NextCursor: "c"}},
+		{"SweepPage/zero", client.SweepPage{}},
+		{"ReconcileRequest", client.ReconcileRequest{IDs: []string{"run-000001", "run-000002"}}},
+		{"ReconcileRequest/zero", client.ReconcileRequest{}},
+		{"ReconcileResult", client.ReconcileResult{Runs: []client.RunView{run}, Missing: []string{"run-000009"}}},
+		{"ReconcileResult/zero", client.ReconcileResult{}},
+		{"VersionInfo", client.VersionInfo{Service: "pdpad", Version: "v1", GoVersion: "go", APIRevision: 1, Role: "node"}},
+		{"VersionInfo/zero", client.VersionInfo{}},
+		{"Health", client.Health{Status: "ok", UptimeS: 1.5, Queue: 2, Inflight: 3, Nodes: 4, Healthy: 5}},
+		{"Health/zero", client.Health{}},
+	})
+}
+
+// TestNodePlaneWireDrift pins the node-plane wire shapes — register,
+// heartbeat, and the node views — to testdata/node_plane.golden, the same
+// way TestWireDrift pins the run plane.
 func TestNodePlaneWireDrift(t *testing.T) {
-	fleetRegister := fleet.RegisterRequest{
-		Name: "n1", Addr: "http://127.0.0.1:1", APIRevision: 2,
-		CPUs: 32, BaseWorkers: 2, MaxWorkers: 4,
+	at := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
+	node := client.NodeView{
+		ID: "node-001", Name: "n1", Addr: "http://127.0.0.1:1", State: "cordoned", Cordoned: true,
+		CPUs: 32, BaseWorkers: 2, MaxWorkers: 4, RegisteredAt: at, LastHeartbeatAt: at.Add(time.Second),
+		Heartbeats: 9, QueueDepth: 3, Inflight: 2, Draining: true, Assigned: 1,
 	}
-	clientRegister := client.NodeRegisterRequest{
-		Name: "n1", Addr: "http://127.0.0.1:1", APIRevision: 2,
-		CPUs: 32, BaseWorkers: 2, MaxWorkers: 4,
-	}
-	if a, b := mustJSON(t, fleetRegister), mustJSON(t, clientRegister); a != b {
-		t.Errorf("RegisterRequest drift:\nfleet %s\nclient %s", a, b)
-	}
-	// The zero-value shapes must agree too: omitempty mismatches only show
-	// up on zero fields.
-	if a, b := mustJSON(t, fleet.RegisterRequest{}), mustJSON(t, client.NodeRegisterRequest{}); a != b {
-		t.Errorf("RegisterRequest zero drift:\nfleet %s\nclient %s", a, b)
-	}
-
-	fleetRegResp := fleet.RegisterResponse{ID: "node-001", HeartbeatIntervalS: 2.5}
-	clientRegResp := client.NodeRegisterResponse{ID: "node-001", HeartbeatIntervalS: 2.5}
-	if a, b := mustJSON(t, fleetRegResp), mustJSON(t, clientRegResp); a != b {
-		t.Errorf("RegisterResponse drift:\nfleet %s\nclient %s", a, b)
-	}
-
-	fleetBeat := fleet.HeartbeatRequest{QueueDepth: 3, Inflight: 2, Draining: true}
-	clientBeat := client.NodeHeartbeatRequest{QueueDepth: 3, Inflight: 2, Draining: true}
-	if a, b := mustJSON(t, fleetBeat), mustJSON(t, clientBeat); a != b {
-		t.Errorf("HeartbeatRequest drift:\nfleet %s\nclient %s", a, b)
-	}
-	if a, b := mustJSON(t, fleet.HeartbeatRequest{}), mustJSON(t, client.NodeHeartbeatRequest{}); a != b {
-		t.Errorf("HeartbeatRequest zero drift:\nfleet %s\nclient %s", a, b)
-	}
-
-	fleetBeatResp := fleet.HeartbeatResponse{State: fleet.StateDrained}
-	clientBeatResp := client.NodeHeartbeatResponse{State: "drained"}
-	if a, b := mustJSON(t, fleetBeatResp), mustJSON(t, clientBeatResp); a != b {
-		t.Errorf("HeartbeatResponse drift:\nfleet %s\nclient %s", a, b)
-	}
+	checkWireGolden(t, "node_plane.golden", []wireCase{
+		{"NodeRegisterRequest", client.NodeRegisterRequest{
+			Name: "n1", Addr: "http://127.0.0.1:1", APIRevision: 2, CPUs: 32, BaseWorkers: 2, MaxWorkers: 4}},
+		{"NodeRegisterRequest/zero", client.NodeRegisterRequest{}},
+		{"NodeRegisterResponse", client.NodeRegisterResponse{ID: "node-001", HeartbeatIntervalS: 2.5}},
+		{"NodeRegisterResponse/zero", client.NodeRegisterResponse{}},
+		{"NodeHeartbeatRequest", client.NodeHeartbeatRequest{QueueDepth: 3, Inflight: 2, Draining: true}},
+		{"NodeHeartbeatRequest/zero", client.NodeHeartbeatRequest{}},
+		{"NodeHeartbeatResponse", client.NodeHeartbeatResponse{State: "drained"}},
+		{"NodeHeartbeatResponse/zero", client.NodeHeartbeatResponse{}},
+		{"NodeView", node},
+		{"NodeView/zero", client.NodeView{}},
+		{"NodePage", client.NodePage{Nodes: []client.NodeView{node}, NextCursor: "c"}},
+		{"NodePage/zero", client.NodePage{}},
+	})
 }
 
 func newDaemon(t *testing.T, cfg runqueue.Config, opts ...server.Option) (*client.Client, *runqueue.Pool) {
@@ -281,8 +278,8 @@ func TestNotFoundIsAPIError(t *testing.T) {
 	defer cancel()
 	_, err := cli.Run(ctx, "run-999999")
 	apiErr, ok := err.(*client.APIError)
-	if !ok || apiErr.Status != http.StatusNotFound || apiErr.Code != server.CodeNotFound {
-		t.Fatalf("err = %v, want 404 %s", err, server.CodeNotFound)
+	if !ok || apiErr.Status != http.StatusNotFound || apiErr.Code != wire.CodeNotFound {
+		t.Fatalf("err = %v, want 404 %s", err, wire.CodeNotFound)
 	}
 }
 
@@ -292,11 +289,11 @@ func TestRetriesShed(t *testing.T) {
 	var calls atomic.Int32
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) <= 2 {
-			server.WriteRetryError(w, http.StatusTooManyRequests, server.CodeOverloaded,
+			server.WriteRetryError(w, http.StatusTooManyRequests, wire.CodeOverloaded,
 				fmt.Errorf("shed"), 1)
 			return
 		}
-		server.WriteJSON(w, http.StatusAccepted, server.SubmitResponse{ID: "run-000001", State: "queued"})
+		server.WriteJSON(w, http.StatusAccepted, client.SubmitResult{ID: "run-000001", State: "queued"})
 	}))
 	defer ts.Close()
 	cli := client.New(ts.URL, client.WithRetries(3), client.WithRetryWaitCap(time.Millisecond))
@@ -314,7 +311,7 @@ func TestRetriesShed(t *testing.T) {
 // carrying the hint.
 func TestRetryBudgetExhausted(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		server.WriteRetryError(w, http.StatusTooManyRequests, server.CodeOverloaded, fmt.Errorf("shed"), 7)
+		server.WriteRetryError(w, http.StatusTooManyRequests, wire.CodeOverloaded, fmt.Errorf("shed"), 7)
 	}))
 	defer ts.Close()
 	cli := client.New(ts.URL)
@@ -342,8 +339,8 @@ func TestContractErrors(t *testing.T) {
 			w.Header().Set("Content-Type", "application/json")
 			w.Header().Set("Retry-After", "99")
 			w.WriteHeader(http.StatusTooManyRequests)
-			json.NewEncoder(w).Encode(server.ErrorResponse{Error: server.ErrorBody{
-				Code: server.CodeOverloaded, Message: "shed", RetryAfterSeconds: 1,
+			json.NewEncoder(w).Encode(wire.ErrorResponse{Error: wire.Error{
+				Code: wire.CodeOverloaded, Message: "shed", RetryAfterSeconds: 1,
 			}})
 		}},
 		{"undecodable 200", func(w http.ResponseWriter, r *http.Request) {

@@ -35,9 +35,9 @@
 //   - /metrics scrapes               →  Metrics, which sums each family's
 //     series by base name.
 //
-// Wire types here deliberately mirror the server's JSON shapes rather than
-// importing them, keeping the package importable outside this module; the
-// client_test drift tests pin the two sets of shapes to each other.
+// The wire types are aliases of internal/wire, the one definition of the
+// v1 surface that the daemon and the coordinator encode too; the client
+// drift tests pin their JSON to goldens under testdata/.
 //
 // # Coordinator restarts and retries
 //

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -10,19 +9,14 @@ import (
 	"sync"
 	"time"
 
-	"pdpasim"
 	"pdpasim/client"
 	"pdpasim/internal/faults"
-	"pdpasim/internal/metrics"
 	"pdpasim/internal/obs"
 	"pdpasim/internal/runqueue"
 	"pdpasim/internal/server"
 	"pdpasim/internal/store"
-	"pdpasim/internal/sweep"
+	"pdpasim/internal/wire"
 )
-
-// maxRequestBody mirrors the node daemon's submission size cap.
-const maxRequestBody = 1 << 20
 
 // Config parameterizes a Coordinator. The zero value works: round-robin
 // placement, default heartbeat timing, three requeues per run.
@@ -138,8 +132,8 @@ type crun struct {
 	// lastView is the latest full view fetched from the serving node
 	// (ID rewritten); final is set exactly once, when the run reaches a
 	// terminal state, and survives the serving node's death.
-	lastView *client.RunView
-	final    *client.RunView
+	lastView *wire.RunView
+	final    *wire.RunView
 }
 
 // csweep is the coordinator's record of one sharded sweep.
@@ -150,11 +144,13 @@ type csweep struct {
 	submitted time.Time
 }
 
-// Coordinator owns fleet admission and routing: it speaks the same v1 run
-// and sweep surface as a standalone daemon, plus the node plane. Create
-// with NewCoordinator; it implements http.Handler.
+// Coordinator owns fleet admission and routing. It is the server.Backend of
+// the coordinator role — the same v1 run and sweep surface as a standalone
+// daemon, served by the same internal/server code — and mounts the node
+// plane on that server. Create with NewCoordinator; it implements
+// http.Handler.
 type Coordinator struct {
-	mux       *http.ServeMux
+	srv       *server.Server
 	placement Placement
 	health    HealthConfig
 	maxReq    int
@@ -162,7 +158,6 @@ type Coordinator struct {
 	hc        *http.Client
 	now       func() time.Time
 	logf      func(string, ...any)
-	started   time.Time
 
 	mu       sync.Mutex
 	draining bool
@@ -198,7 +193,6 @@ type coordMetrics struct {
 	requeues         *obs.Counter
 	requeueFailures  *obs.Counter
 	nodeDeaths       *obs.Counter
-	recovered        *obs.Counter
 	storeErrors      *obs.Counter
 	recoveredNodes   *obs.Counter
 	recoveredRuns    *obs.Counter
@@ -235,7 +229,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		cfg.StoreCompactBytes = defaultStoreCompactBytes
 	}
 	c := &Coordinator{
-		mux:               http.NewServeMux(),
 		placement:         pl,
 		health:            cfg.Health.withDefaults(),
 		maxReq:            cfg.MaxRequeues,
@@ -243,7 +236,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		hc:                cfg.HTTPClient,
 		now:               cfg.Now,
 		logf:              cfg.Logf,
-		started:           cfg.Now(),
 		nodes:             map[string]*node{},
 		runs:              map[string]*crun{},
 		affinity:          map[string]*crun{},
@@ -263,16 +255,14 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		requeues:         c.reg.Counter("pdpad_fleet_requeues_total", "Runs re-placed after a node death or drain."),
 		requeueFailures:  c.reg.Counter("pdpad_fleet_requeue_failures_total", "Runs failed because re-placement was impossible or exhausted."),
 		nodeDeaths:       c.reg.Counter("pdpad_fleet_node_deaths_total", "Nodes declared dead after missed heartbeats."),
-		recovered: c.reg.LabeledCounter("pdpad_recovered_panics_total",
-			"Panics recovered without taking the daemon down, by origin.", "where", "http"),
-		storeErrors:     c.reg.Counter("pdpad_fleet_store_errors_total", "Coordinator store appends, compactions, or recovered records that failed (never fatal)."),
-		recoveredNodes:  c.reg.Counter("pdpad_fleet_recovered_nodes_total", "Node-ledger entries rehydrated from the store at startup."),
-		recoveredRuns:   c.reg.Counter("pdpad_fleet_recovered_runs_total", "Run-registry entries rehydrated from the store at startup."),
-		recoveredSweeps: c.reg.Counter("pdpad_fleet_recovered_sweeps_total", "Sweep shard maps rehydrated from the store at startup."),
-		reconciled:      c.reg.Counter("pdpad_fleet_reconciled_runs_total", "Runs whose state was settled with a returning node after a coordinator restart."),
-		adopted:         c.reg.Counter("pdpad_fleet_adopted_results_total", "Terminal results returning nodes reported during reconcile."),
-		scaleDown:       c.reg.Counter("pdpad_fleet_scale_down_signals_total", "Nodes scale-drained by the drain-on-idle elasticity hook."),
-		scaleUp:         c.reg.Counter("pdpad_fleet_scale_up_signals_total", "Backlog episodes that signalled the join-on-backlog elasticity hook."),
+		storeErrors:      c.reg.Counter("pdpad_fleet_store_errors_total", "Coordinator store appends, compactions, or recovered records that failed (never fatal)."),
+		recoveredNodes:   c.reg.Counter("pdpad_fleet_recovered_nodes_total", "Node-ledger entries rehydrated from the store at startup."),
+		recoveredRuns:    c.reg.Counter("pdpad_fleet_recovered_runs_total", "Run-registry entries rehydrated from the store at startup."),
+		recoveredSweeps:  c.reg.Counter("pdpad_fleet_recovered_sweeps_total", "Sweep shard maps rehydrated from the store at startup."),
+		reconciled:       c.reg.Counter("pdpad_fleet_reconciled_runs_total", "Runs whose state was settled with a returning node after a coordinator restart."),
+		adopted:          c.reg.Counter("pdpad_fleet_adopted_results_total", "Terminal results returning nodes reported during reconcile."),
+		scaleDown:        c.reg.Counter("pdpad_fleet_scale_down_signals_total", "Nodes scale-drained by the drain-on-idle elasticity hook."),
+		scaleUp:          c.reg.Counter("pdpad_fleet_scale_up_signals_total", "Backlog episodes that signalled the join-on-backlog elasticity hook."),
 	}
 	c.reg.GaugeFunc("pdpad_goroutines", "Live goroutines in the serving process (leak smoke-checks read this).",
 		func() float64 { return float64(runtime.NumGoroutine()) })
@@ -293,25 +283,13 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		return float64(len(c.eligibleLocked(nil)))
 	})
 
-	c.mux.HandleFunc("POST /v1/runs", c.handleSubmit)
-	c.mux.HandleFunc("GET /v1/runs", c.handleListRuns)
-	c.mux.HandleFunc("GET /v1/runs/{id}", c.handleGetRun)
-	c.mux.HandleFunc("DELETE /v1/runs/{id}", c.handleCancelRun)
-	c.mux.HandleFunc("GET /v1/runs/{id}/events", c.handleEvents)
-	c.mux.HandleFunc("GET /v1/runs/{id}/trace", c.handleTrace)
-	c.mux.HandleFunc("POST /v1/sweeps", c.handleSubmitSweep)
-	c.mux.HandleFunc("GET /v1/sweeps", c.handleListSweeps)
-	c.mux.HandleFunc("GET /v1/sweeps/{id}", c.handleGetSweep)
-	c.mux.HandleFunc("DELETE /v1/sweeps/{id}", c.handleCancelSweep)
-	c.mux.HandleFunc("POST /v1/nodes/register", c.handleRegister)
-	c.mux.HandleFunc("POST /v1/nodes/{id}/heartbeat", c.handleHeartbeat)
-	c.mux.HandleFunc("GET /v1/nodes", c.handleListNodes)
-	c.mux.HandleFunc("POST /v1/nodes/{id}/cordon", c.handleCordon)
-	c.mux.HandleFunc("POST /v1/nodes/{id}/uncordon", c.handleUncordon)
-	c.mux.HandleFunc("POST /v1/nodes/{id}/drain", c.handleDrainNode)
-	c.mux.HandleFunc("GET /v1/version", c.handleVersion)
-	c.mux.HandleFunc("GET /healthz", c.handleHealth)
-	c.mux.HandleFunc("GET /metrics", c.handleMetrics)
+	c.srv = server.New(c, server.WithRole(server.RoleCoordinator), server.WithFaults(cfg.Faults))
+	c.srv.HandleFunc("POST /v1/nodes/register", c.handleRegister)
+	c.srv.HandleFunc("POST /v1/nodes/{id}/heartbeat", c.handleHeartbeat)
+	c.srv.HandleFunc("GET /v1/nodes", c.handleListNodes)
+	c.srv.HandleFunc("POST /v1/nodes/{id}/cordon", c.handleCordon(true))
+	c.srv.HandleFunc("POST /v1/nodes/{id}/uncordon", c.handleCordon(false))
+	c.srv.HandleFunc("POST /v1/nodes/{id}/drain", c.handleDrainNode)
 
 	// Rehydrate the routing table from the store before serving a single
 	// request and before the monitor can rule on liveness.
@@ -323,26 +301,8 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// ServeHTTP implements http.Handler with the same panic-recovery and
-// fault-injection front door as the node daemon.
-func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	defer func() {
-		rec := recover()
-		if rec == nil {
-			return
-		}
-		if rec == http.ErrAbortHandler { //nolint:errorlint // sentinel, compared by identity
-			panic(rec)
-		}
-		c.met.recovered.Inc()
-		server.WriteError(w, http.StatusInternalServerError, server.CodeInternal, fmt.Errorf("internal error: %v", rec))
-	}()
-	if err := c.flts.Hit(r.Context(), faults.SiteHTTPRequest); err != nil {
-		server.WriteError(w, http.StatusServiceUnavailable, server.CodeUnavailable, fmt.Errorf("injected fault: %w", err))
-		return
-	}
-	c.mux.ServeHTTP(w, r)
-}
+// ServeHTTP implements http.Handler.
+func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) { c.srv.ServeHTTP(w, r) }
 
 // Metrics exposes the coordinator's metric registry — the same numbers
 // /metrics renders, readable in-process by tests and the scenario runner.
@@ -601,11 +561,7 @@ func (c *Coordinator) place(ctx context.Context, cr *crun, exclude map[string]bo
 	if exclude == nil {
 		exclude = map[string]bool{}
 	}
-	body := client.SubmitRunRequest{
-		Workload:  mirrorSpec(cr.spec).Workload,
-		Options:   mirrorSpec(cr.spec).Options,
-		DeadlineS: cr.deadlineS,
-	}
+	body := client.SubmitRunRequest{Workload: cr.spec.Workload, Options: cr.spec.Options, DeadlineS: cr.deadlineS}
 	var lastErr error
 	for {
 		c.mu.Lock()
@@ -710,14 +666,14 @@ func (c *Coordinator) failLocked(cr *crun, msg string) {
 	c.releaseLocked(cr)
 	cr.state = "failed"
 	now := c.now()
-	v := client.RunView{
+	v := wire.RunView{
 		ID:          cr.id,
 		State:       "failed",
 		Error:       msg,
 		SubmittedAt: cr.submitted,
 		FinishedAt:  &now,
 		CacheKey:    cr.key,
-		Spec:        mirrorSpec(cr.spec),
+		Spec:        wire.Spec(cr.spec),
 	}
 	cr.final = &v
 	cr.lastView = &v
@@ -730,19 +686,11 @@ func (c *Coordinator) failLocked(cr *crun, msg string) {
 // monitor decides the node's fate, not a read path).
 func (c *Coordinator) refresh(ctx context.Context, cr *crun) {
 	c.mu.Lock()
-	if cr.final != nil || cr.remoteID == "" {
-		c.mu.Unlock()
-		return
-	}
-	n := c.nodes[cr.nodeID]
-	if n != nil && n.pendingReconcile {
-		// The node has not re-registered since the coordinator restart;
-		// its old address may answer for a different incarnation.
-		n = nil
-	}
+	n := c.ownerLocked(cr)
 	remoteID, gen := cr.remoteID, cr.gen
+	final := cr.final
 	c.mu.Unlock()
-	if n == nil {
+	if final != nil || n == nil {
 		return
 	}
 	v, err := n.cli.Run(ctx, remoteID)
@@ -767,13 +715,6 @@ func (c *Coordinator) refresh(ctx context.Context, cr *crun) {
 // ---------------------------------------------------------------------------
 // Submission.
 
-type submitOutcome struct {
-	id       string
-	state    string
-	cacheHit bool
-	deduped  bool
-}
-
 // deadEnd reports whether an affinity entry is unusable for dedup: the run
 // ended in failure or cancellation, so a resubmission starts fresh.
 func deadEnd(cr *crun) bool {
@@ -783,20 +724,20 @@ func deadEnd(cr *crun) bool {
 // submitOne admits one spec: deduplicated against the fleet-wide affinity
 // index, or placed fresh. The returned crun is non-nil exactly when a new
 // run was created (the caller unwinds it on batch failure).
-func (c *Coordinator) submitOne(ctx context.Context, spec runqueue.Spec, deadlineS float64) (submitOutcome, *crun, error) {
+func (c *Coordinator) submitOne(ctx context.Context, spec runqueue.Spec, deadlineS float64) (runqueue.SubmitResult, *crun, error) {
 	key := spec.Key()
 	c.mu.Lock()
 	if c.draining {
 		c.mu.Unlock()
-		return submitOutcome{}, nil, errDraining
+		return runqueue.SubmitResult{}, nil, errDraining
 	}
 	if ex := c.affinity[key]; ex != nil && !deadEnd(ex) {
-		out := submitOutcome{id: ex.id, state: ex.state}
+		out := runqueue.SubmitResult{ID: ex.id, State: runqueue.State(ex.state)}
 		if ex.final != nil {
-			out.state = "done"
-			out.cacheHit = true
+			out.State = runqueue.Done
+			out.CacheHit = true
 		} else {
-			out.deduped = true
+			out.Deduped = true
 		}
 		c.mu.Unlock()
 		return out, nil, nil
@@ -816,10 +757,10 @@ func (c *Coordinator) submitOne(ctx context.Context, spec runqueue.Spec, deadlin
 	c.mu.Unlock()
 	if err := c.place(ctx, cr, nil); err != nil {
 		c.remove(cr)
-		return submitOutcome{}, nil, err
+		return runqueue.SubmitResult{}, nil, err
 	}
 	c.mu.Lock()
-	out := submitOutcome{id: cr.id, state: cr.state, cacheHit: cr.cacheHit, deduped: cr.deduped}
+	out := runqueue.SubmitResult{ID: cr.id, State: runqueue.State(cr.state), CacheHit: cr.cacheHit, Deduped: cr.deduped}
 	c.mu.Unlock()
 	return out, cr, nil
 }
@@ -842,85 +783,44 @@ func (c *Coordinator) remove(cr *crun) {
 	}
 }
 
-// ---------------------------------------------------------------------------
-// HTTP plumbing shared by the handlers.
-
-// decodeBody mirrors the node daemon's request decoding: 1 MiB cap (413),
-// unknown fields rejected (400).
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			server.WriteError(w, http.StatusRequestEntityTooLarge, server.CodePayloadTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
-			return false
-		}
-		server.WriteError(w, http.StatusBadRequest, server.CodeInvalidRequest, fmt.Errorf("decoding request: %w", err))
-		return false
+// ownerLocked returns the node serving cr when there is one to talk to:
+// the run has a remote ID, and its node is not a record rehydrated from the
+// store that has yet to re-register since the coordinator restarted — such
+// a node's old address may answer for a different incarnation whose run IDs
+// collide. Every node-bound call about a run goes through here.
+func (c *Coordinator) ownerLocked(cr *crun) *node {
+	n := c.nodes[cr.nodeID]
+	if n == nil || n.pendingReconcile || cr.remoteID == "" {
+		return nil
 	}
-	return true
+	return n
 }
 
-// writeSubmitError maps an admission or dispatch error onto the envelope.
-// Envelope errors from nodes are relayed verbatim — status, code, and retry
-// hint — so a fleet client sees exactly what a standalone client would.
-func writeSubmitError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, errDraining):
-		server.WriteError(w, http.StatusServiceUnavailable, server.CodeDraining, err)
-	case errors.Is(err, errNoHealthy):
-		server.WriteError(w, http.StatusServiceUnavailable, server.CodeNoHealthyNodes, err)
-	default:
-		relayError(w, err)
+// cancelRemote cancels cr on its owning node, if it has one to talk to.
+func (c *Coordinator) cancelRemote(ctx context.Context, cr *crun) error {
+	c.mu.Lock()
+	n, remoteID := c.ownerLocked(cr), cr.remoteID
+	c.mu.Unlock()
+	if n == nil {
+		return nil
 	}
+	_, err := n.cli.CancelRun(ctx, remoteID)
+	return err
 }
 
-// relayError forwards a node's envelope error as-is, or wraps transport
-// failures as 502 node_unreachable.
-func relayError(w http.ResponseWriter, err error) {
-	var api *client.APIError
-	if errors.As(err, &api) {
-		if api.RetryAfterSeconds > 0 {
-			server.WriteRetryError(w, api.Status, api.Code, errors.New(api.Message), api.RetryAfterSeconds)
-		} else {
-			server.WriteError(w, api.Status, api.Code, errors.New(api.Message))
-		}
-		return
-	}
-	server.WriteError(w, http.StatusBadGateway, server.CodeNodeUnreachable, err)
-}
-
-// mirrorSpec converts the runqueue spec to the client mirror via JSON: the
-// tags match field for field, so the round trip is lossless.
-func mirrorSpec(s runqueue.Spec) client.Spec {
-	b, err := json.Marshal(s)
-	if err != nil {
-		return client.Spec{}
-	}
-	var out client.Spec
-	if err := json.Unmarshal(b, &out); err != nil {
-		return client.Spec{}
-	}
-	return out
-}
-
-// viewLocked renders a run for the wire. client.RunView's tags mirror the
-// node daemon's RunView exactly, so coordinator responses are shaped
-// identically to standalone ones.
-func (c *Coordinator) viewLocked(cr *crun, includeResult bool) client.RunView {
-	var v client.RunView
+// viewLocked renders a run for the wire: the node's latest view (ID
+// rewritten), or a coordinator-side placeholder before the first refresh.
+func (c *Coordinator) viewLocked(cr *crun, includeResult bool) wire.RunView {
+	var v wire.RunView
 	switch {
 	case cr.final != nil:
 		v = *cr.final
 	case cr.lastView != nil:
 		v = *cr.lastView
 	default:
-		v = client.RunView{
+		v = wire.RunView{
 			ID: cr.id, State: cr.state, SubmittedAt: cr.submitted,
-			CacheKey: cr.key, Spec: mirrorSpec(cr.spec),
+			CacheKey: cr.key, Spec: wire.Spec(cr.spec),
 		}
 	}
 	if !includeResult {
@@ -929,249 +829,221 @@ func (c *Coordinator) viewLocked(cr *crun, includeResult bool) client.RunView {
 	return v
 }
 
-// ---------------------------------------------------------------------------
-// Run plane.
-
-func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req server.SubmitRequest
-	if !decodeBody(w, r, &req) {
-		return
+// nodeErr renders a failed node call for the client: a node's envelope
+// passes through as it is, so a fleet client sees exactly what a standalone
+// client would; a node that did not answer is 502 node_unreachable.
+func nodeErr(err error) error {
+	var env *wire.Error
+	if errors.As(err, &env) {
+		return env
 	}
-	if req.DeadlineS < 0 {
-		server.WriteError(w, http.StatusBadRequest, server.CodeInvalidRequest,
-			fmt.Errorf("negative deadline_s %v", req.DeadlineS))
-		return
-	}
-	spec := runqueue.Spec{Workload: req.Workload, Options: req.Options}
-	if err := spec.Validate(); err != nil {
-		server.WriteError(w, http.StatusBadRequest, server.CodeInvalidRequest, err)
-		return
-	}
-	out, _, err := c.submitOne(r.Context(), spec, req.DeadlineS)
-	if err != nil {
-		writeSubmitError(w, err)
-		return
-	}
-	status := http.StatusAccepted
-	if out.cacheHit {
-		status = http.StatusOK
-	}
-	server.WriteJSON(w, status, server.SubmitResponse{
-		ID: out.id, State: out.state, CacheHit: out.cacheHit, Deduped: out.deduped,
-	})
+	return &wire.Error{Status: http.StatusBadGateway, Code: wire.CodeNodeUnreachable, Message: err.Error()}
 }
 
-func (c *Coordinator) lookupRun(w http.ResponseWriter, id string) *crun {
+// admissionErr is nodeErr for submissions, which the coordinator itself may
+// also refuse.
+func admissionErr(err error) error {
+	switch {
+	case errors.Is(err, errDraining):
+		return &wire.Error{Status: http.StatusServiceUnavailable, Code: wire.CodeDraining, Message: err.Error()}
+	case errors.Is(err, errNoHealthy):
+		return &wire.Error{Status: http.StatusServiceUnavailable, Code: wire.CodeNoHealthyNodes, Message: err.Error()}
+	}
+	return nodeErr(err)
+}
+
+// ---------------------------------------------------------------------------
+// Run plane: the server.Backend methods the v1 run routes call.
+
+// Submit admits one run: deduplicated against the fleet-wide affinity
+// index, or placed fresh on a node.
+func (c *Coordinator) Submit(spec runqueue.Spec, deadline time.Duration) (runqueue.SubmitResult, error) {
+	if err := spec.Validate(); err != nil {
+		return runqueue.SubmitResult{}, err
+	}
+	out, _, err := c.submitOne(context.TODO(), spec, deadline.Seconds())
+	if err != nil {
+		return out, admissionErr(err)
+	}
+	return out, nil
+}
+
+func (c *Coordinator) lookupRun(id string) (*crun, error) {
 	c.mu.Lock()
 	cr := c.runs[id]
 	c.mu.Unlock()
 	if cr == nil {
-		server.WriteError(w, http.StatusNotFound, server.CodeNotFound,
-			fmt.Errorf("fleet: no run %q", id))
+		return nil, wire.Errorf(http.StatusNotFound, wire.CodeNotFound, "fleet: no run %q", id)
 	}
-	return cr
+	return cr, nil
 }
 
-func (c *Coordinator) handleGetRun(w http.ResponseWriter, r *http.Request) {
-	cr := c.lookupRun(w, r.PathValue("id"))
-	if cr == nil {
-		return
+// RunView refreshes a run from its node and returns its view, result
+// included.
+func (c *Coordinator) RunView(ctx context.Context, id string) (wire.RunView, error) {
+	cr, err := c.lookupRun(id)
+	if err != nil {
+		return wire.RunView{}, err
 	}
-	c.refresh(r.Context(), cr)
+	c.refresh(ctx, cr)
 	c.mu.Lock()
-	v := c.viewLocked(cr, true)
-	c.mu.Unlock()
-	server.WriteJSON(w, http.StatusOK, v)
+	defer c.mu.Unlock()
+	return c.viewLocked(cr, true), nil
 }
 
-func (c *Coordinator) handleCancelRun(w http.ResponseWriter, r *http.Request) {
-	cr := c.lookupRun(w, r.PathValue("id"))
-	if cr == nil {
-		return
+// RunViews refreshes every pending run and lists all runs, newest first.
+func (c *Coordinator) RunViews(ctx context.Context) []wire.RunView {
+	for _, cr := range c.pendingRuns() {
+		c.refresh(ctx, cr)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	views := make([]wire.RunView, 0, len(c.runOrder))
+	for i := len(c.runOrder) - 1; i >= 0; i-- {
+		views = append(views, c.viewLocked(c.runOrder[i], false))
+	}
+	return views
+}
+
+// CancelRun cancels a run on its node and returns its refreshed view.
+func (c *Coordinator) CancelRun(ctx context.Context, id string) (wire.RunView, error) {
+	cr, err := c.lookupRun(id)
+	if err != nil {
+		return wire.RunView{}, err
 	}
 	c.mu.Lock()
 	final := cr.final
-	n := c.nodes[cr.nodeID]
-	if n != nil && n.pendingReconcile {
-		n = nil
-	}
-	remoteID := cr.remoteID
 	c.mu.Unlock()
-	if final == nil && n != nil && remoteID != "" {
-		if _, err := n.cli.CancelRun(r.Context(), remoteID); err != nil {
-			var api *client.APIError
-			if !errors.As(err, &api) {
-				relayError(w, err)
-				return
-			}
+	if final == nil {
+		var env *wire.Error
+		if err := c.cancelRemote(ctx, cr); err != nil && !errors.As(err, &env) {
+			return wire.RunView{}, nodeErr(err)
 		}
-		c.refresh(r.Context(), cr)
+		c.refresh(ctx, cr)
 	}
 	c.mu.Lock()
-	v := c.viewLocked(cr, false)
-	c.mu.Unlock()
-	server.WriteJSON(w, http.StatusOK, v)
+	defer c.mu.Unlock()
+	return c.viewLocked(cr, false), nil
 }
 
-func (c *Coordinator) handleListRuns(w http.ResponseWriter, r *http.Request) {
-	p, err := server.ParsePageParams(r, "queued", "running", "done", "failed", "canceled")
+// FollowRun proxies the serving node's event stream with the run ID
+// rewritten. If the serving node dies mid-stream, it follows the run to its
+// requeued placement (or its deterministic failure) instead of going
+// silent.
+func (c *Coordinator) FollowRun(ctx context.Context, id string, emit func(wire.Event) bool) error {
+	cr, err := c.lookupRun(id)
 	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, server.CodeInvalidRequest, err)
-		return
-	}
-	for _, cr := range c.pendingRuns() {
-		c.refresh(r.Context(), cr)
-	}
-	c.mu.Lock()
-	views := make([]client.RunView, 0, len(c.runOrder))
-	for i := len(c.runOrder) - 1; i >= 0; i-- { // newest first
-		views = append(views, c.viewLocked(c.runOrder[i], false))
-	}
-	c.mu.Unlock()
-	page, next := server.Paginate(views, p,
-		func(v client.RunView) string { return v.ID },
-		func(v client.RunView) bool { return p.State == "" || v.State == p.State })
-	server.WriteJSON(w, http.StatusOK, client.RunPage{Runs: page, NextCursor: next})
-}
-
-// handleEvents streams a run's lifecycle as SSE, proxying the serving
-// node's stream with the run ID rewritten. If the serving node dies
-// mid-stream, the proxy follows the run to its requeued placement (or its
-// deterministic failure) instead of going silent.
-func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		server.WriteError(w, http.StatusInternalServerError, server.CodeInternal, errors.New("streaming unsupported"))
-		return
-	}
-	cr := c.lookupRun(w, r.PathValue("id"))
-	if cr == nil {
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-
-	emit := func(ev client.Event) {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return
-		}
-		fmt.Fprintf(w, "event: state\ndata: %s\n\n", data)
-		flusher.Flush()
+		return err
 	}
 	for {
 		c.mu.Lock()
 		final := cr.final
-		n := c.nodes[cr.nodeID]
-		if n != nil && n.pendingReconcile {
-			n = nil
-		}
-		remoteID := cr.remoteID
+		n, remoteID := c.ownerLocked(cr), cr.remoteID
 		c.mu.Unlock()
 		if final != nil {
 			at := c.now()
 			if final.FinishedAt != nil {
 				at = *final.FinishedAt
 			}
-			emit(client.Event{RunID: cr.id, State: final.State, At: at, Message: final.Error})
-			return
+			emit(wire.Event{RunID: cr.id, State: final.State, At: at, Message: final.Error})
+			return nil
 		}
-		sawTerminal := false
-		if n != nil && remoteID != "" {
-			err := n.cli.FollowRun(r.Context(), remoteID, func(ev client.Event) bool {
+		if n != nil {
+			sawTerminal := false
+			err := n.cli.FollowRun(ctx, remoteID, func(ev wire.Event) bool {
 				ev.RunID = cr.id
-				emit(ev)
-				sawTerminal = client.Terminal(ev.State)
-				return true
+				sawTerminal = wire.Terminal(ev.State)
+				return emit(ev)
 			})
-			if err != nil && r.Context().Err() != nil {
-				return
+			if err != nil && ctx.Err() != nil {
+				return nil
 			}
 			if sawTerminal {
-				c.refresh(r.Context(), cr)
-				return
+				c.refresh(ctx, cr)
+				return nil
 			}
 		}
 		// Stream ended without a terminal state: the node is gone or the
 		// run moved. Wait for the monitor to settle the run's fate, then
 		// loop to follow its new placement (or emit its final state).
 		select {
-		case <-r.Context().Done():
-			return
+		case <-ctx.Done():
+			return nil
 		case <-time.After(20 * time.Millisecond):
 		}
 	}
 }
 
-func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
-	cr := c.lookupRun(w, r.PathValue("id"))
-	if cr == nil {
-		return
+// Trace relays the run's decision trace from its node.
+func (c *Coordinator) Trace(ctx context.Context, id string) ([]byte, error) {
+	cr, err := c.lookupRun(id)
+	if err != nil {
+		return nil, err
 	}
 	c.mu.Lock()
-	n := c.nodes[cr.nodeID]
-	if n != nil && n.pendingReconcile {
-		n = nil
-	}
-	remoteID := cr.remoteID
+	n, remoteID := c.ownerLocked(cr), cr.remoteID
 	c.mu.Unlock()
-	if n == nil || remoteID == "" {
-		server.WriteError(w, http.StatusNotFound, server.CodeNotFound,
-			fmt.Errorf("fleet: run %s has no reachable decision trace", cr.id))
-		return
+	if n == nil {
+		return nil, wire.Errorf(http.StatusNotFound, wire.CodeNotFound, "fleet: run %s has no reachable decision trace", cr.id)
 	}
-	raw, err := n.cli.Trace(r.Context(), remoteID)
+	raw, err := n.cli.Trace(ctx, remoteID)
 	if err != nil {
-		relayError(w, err)
-		return
+		return nil, nodeErr(err)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(raw)
+	return raw, nil
+}
+
+// Health summarizes the fleet for GET /healthz: the queued and inflight
+// totals over live nodes, and how many of those are healthy.
+func (c *Coordinator) Health() wire.Health {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	h := wire.Health{Status: "ok"}
+	if c.draining {
+		h.Status = "draining"
+	}
+	now := c.now()
+	for _, n := range c.order {
+		if n.drained {
+			continue
+		}
+		h.Nodes++
+		h.Queue += n.queueDepth
+		h.Inflight += n.inflight
+		if !n.pendingReconcile &&
+			CombineState(c.health.Liveness(now.Sub(n.lastBeat)), n.cordoned, n.drained) == StateHealthy {
+			h.Healthy++
+		}
+	}
+	return h
 }
 
 // ---------------------------------------------------------------------------
 // Sweep plane.
 
-func (c *Coordinator) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
-	var req server.SweepSubmitRequest
-	if !decodeBody(w, r, &req) {
-		return
+// SubmitSweep shards a grid across the fleet member by member. Batch
+// admission is atomic: a member that cannot be placed unwinds the members
+// already placed.
+func (c *Coordinator) SubmitSweep(spec runqueue.SweepSpec, deadline time.Duration) (runqueue.SweepSubmitResult, error) {
+	if err := spec.Validate(); err != nil {
+		return runqueue.SweepSubmitResult{}, err
 	}
-	if req.DeadlineS < 0 {
-		server.WriteError(w, http.StatusBadRequest, server.CodeInvalidRequest,
-			fmt.Errorf("negative deadline_s %v", req.DeadlineS))
-		return
-	}
-	if err := req.SweepSpec.Validate(); err != nil {
-		server.WriteError(w, http.StatusBadRequest, server.CodeInvalidRequest, err)
-		return
-	}
-	resolved := req.SweepSpec.WithDefaults()
+	resolved := spec.WithDefaults()
 	members := resolved.Members()
+	ctx := context.TODO()
 
-	// Shard: members dispatch in placement order (LPT sorts by cost) but
-	// runIDs keep grid order, which is what reassembly indexes by.
-	outcomes := make([]submitOutcome, len(members))
+	// Members dispatch in placement order (LPT sorts by cost) but runIDs
+	// keep grid order, which is what reassembly indexes by.
+	outcomes := make([]runqueue.SubmitResult, len(members))
 	var created []*crun
 	for _, idx := range c.lptOrder(members) {
-		out, cr, err := c.submitOne(r.Context(), members[idx], req.DeadlineS)
+		out, cr, err := c.submitOne(ctx, members[idx], deadline.Seconds())
 		if err != nil {
-			// Batch admission is atomic: unwind the members already placed.
 			for _, u := range created {
-				c.mu.Lock()
-				n := c.nodes[u.nodeID]
-				remoteID := u.remoteID
-				c.mu.Unlock()
-				if n != nil && remoteID != "" {
-					n.cli.CancelRun(r.Context(), remoteID)
-				}
+				c.cancelRemote(ctx, u)
 				c.remove(u)
 			}
-			writeSubmitError(w, err)
-			return
+			return runqueue.SweepSubmitResult{}, admissionErr(err)
 		}
 		outcomes[idx] = out
 		if cr != nil {
@@ -1180,181 +1052,100 @@ func (c *Coordinator) handleSubmitSweep(w http.ResponseWriter, r *http.Request) 
 	}
 
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.swSeq++
 	cs := &csweep{
 		id:        fmt.Sprintf("sweep-%06d", c.swSeq),
 		spec:      resolved,
 		submitted: c.now(),
 	}
-	resp := server.SweepSubmitResponse{ID: cs.id}
+	res := runqueue.SweepSubmitResult{ID: cs.id}
 	for _, out := range outcomes {
-		cs.runIDs = append(cs.runIDs, out.id)
-		resp.RunIDs = append(resp.RunIDs, out.id)
-		if out.cacheHit {
-			resp.CacheHits++
+		cs.runIDs = append(cs.runIDs, out.ID)
+		if out.CacheHit {
+			res.CacheHits++
 		}
-		if out.deduped {
-			resp.Deduped++
+		if out.Deduped {
+			res.Deduped++
 		}
 	}
+	res.RunIDs = cs.runIDs
 	c.sweeps[cs.id] = cs
 	c.swOrder = append(c.swOrder, cs)
 	c.persistSweepLocked(cs)
-	c.mu.Unlock()
-	server.WriteJSON(w, http.StatusAccepted, resp)
+	return res, nil
 }
 
-// sweepStatus aggregates a sweep exactly as a single pool does: the same
-// member state machine, and — once every member is done — the same
-// per-cell Summarize over the members' exports in grid order. That is the
-// byte-identity contract: fleet cells equal standalone cells.
-func (c *Coordinator) sweepStatus(ctx context.Context, cs *csweep) server.SweepView {
+// sweepStatus refreshes a sweep's members from their nodes and aggregates
+// them with runqueue.AggregateSweep, exactly as a single pool does. That is
+// the byte-identity contract: fleet cells equal standalone cells.
+func (c *Coordinator) sweepStatus(ctx context.Context, cs *csweep) runqueue.SweepStatus {
 	c.mu.Lock()
-	members := make([]*crun, len(cs.runIDs))
-	for i, id := range cs.runIDs {
-		members[i] = c.runs[id]
+	var members []*crun
+	for _, id := range cs.runIDs {
+		if cr := c.runs[id]; cr != nil {
+			members = append(members, cr)
+		}
 	}
 	c.mu.Unlock()
 	for _, cr := range members {
-		if cr != nil {
-			c.refresh(ctx, cr)
-		}
+		c.refresh(ctx, cr)
 	}
-
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	v := server.SweepView{
-		ID:          cs.id,
-		State:       string(runqueue.Queued),
-		Total:       len(cs.runIDs),
-		SubmittedAt: cs.submitted,
-		Spec:        cs.spec,
-		RunIDs:      cs.runIDs,
-	}
-	allDone := true
-	anyStarted := false
-	var exports []metrics.Export
-	for i, cr := range members {
-		if cr == nil {
-			v.Errors = append(v.Errors, fmt.Sprintf("%s: evicted from history", cs.runIDs[i]))
-			v.State = string(runqueue.Failed)
-			return v
+	st := runqueue.SweepStatus{ID: cs.id, Spec: cs.spec, Submitted: cs.submitted, RunIDs: cs.runIDs}
+	return runqueue.AggregateSweep(st, func(id string) (runqueue.SweepMember, bool) {
+		cr := c.runs[id]
+		switch {
+		case cr == nil:
+			return runqueue.SweepMember{}, false
+		case cr.final == nil:
+			return runqueue.SweepMember{State: runqueue.State(cr.state)}, true
 		}
-		state := cr.state
-		if cr.final != nil {
-			state = cr.final.State
-		}
-		if state != string(runqueue.Queued) {
-			anyStarted = true
-		}
-		if cr.final != nil {
-			v.Done++
-		}
-		switch state {
-		case string(runqueue.Done):
-			if allDone {
-				var ex metrics.Export
-				if err := json.Unmarshal(cr.final.Result, &ex); err != nil {
-					v.Errors = append(v.Errors, fmt.Sprintf("%s: decoding result: %v", cr.id, err))
-					v.State = string(runqueue.Failed)
-					return v
-				}
-				exports = append(exports, ex)
-			}
-		case string(runqueue.Failed):
-			allDone = false
-			v.State = string(runqueue.Failed)
-			if cr.final != nil && cr.final.Error != "" {
-				v.Errors = append(v.Errors, fmt.Sprintf("%s: %s", cr.id, cr.final.Error))
-			}
-		case string(runqueue.Canceled):
-			allDone = false
-			if v.State != string(runqueue.Failed) {
-				v.State = string(runqueue.Canceled)
-			}
-		default:
-			allDone = false
-		}
-	}
-	if v.State == string(runqueue.Queued) && anyStarted {
-		v.State = string(runqueue.Running)
-	}
-	if !allDone {
-		return v
-	}
-	v.State = string(runqueue.Done)
-	nseeds := len(cs.spec.Seeds)
-	i := 0
-	for _, mix := range cs.spec.Mixes {
-		for _, load := range cs.spec.Loads {
-			for _, pol := range cs.spec.Policies {
-				v.Cells = append(v.Cells, sweep.Summarize(
-					canonicalPolicy(pol), mix, load, cs.spec.Seeds, exports[i:i+nseeds]))
-				i += nseeds
-			}
-		}
-	}
-	return v
+		return runqueue.SweepMember{State: runqueue.State(cr.final.State), Err: cr.final.Error, Result: cr.final.Result}, true
+	})
 }
 
-// canonicalPolicy matches the pool's: cells carry the simulator's name for
-// the policy, not the submitter's spelling.
-func canonicalPolicy(pol string) string {
-	if p, err := pdpasim.ParsePolicy(pol); err == nil {
-		return string(p)
-	}
-	return pol
-}
-
-func (c *Coordinator) lookupSweep(w http.ResponseWriter, id string) *csweep {
+func (c *Coordinator) lookupSweep(id string) (*csweep, error) {
 	c.mu.Lock()
 	cs := c.sweeps[id]
 	c.mu.Unlock()
 	if cs == nil {
-		server.WriteError(w, http.StatusNotFound, server.CodeNotFound,
-			fmt.Errorf("fleet: no sweep %q", id))
+		return nil, wire.Errorf(http.StatusNotFound, wire.CodeNotFound, "fleet: no sweep %q", id)
 	}
-	return cs
+	return cs, nil
 }
 
-func (c *Coordinator) handleGetSweep(w http.ResponseWriter, r *http.Request) {
-	cs := c.lookupSweep(w, r.PathValue("id"))
-	if cs == nil {
-		return
-	}
-	server.WriteJSON(w, http.StatusOK, c.sweepStatus(r.Context(), cs))
-}
-
-func (c *Coordinator) handleListSweeps(w http.ResponseWriter, r *http.Request) {
-	p, err := server.ParsePageParams(r, "queued", "running", "done", "failed", "canceled")
+// GetSweep returns a sweep's aggregated status.
+func (c *Coordinator) GetSweep(id string) (runqueue.SweepStatus, error) {
+	cs, err := c.lookupSweep(id)
 	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, server.CodeInvalidRequest, err)
-		return
+		return runqueue.SweepStatus{}, err
 	}
-	c.mu.Lock()
-	sweeps := make([]*csweep, len(c.swOrder))
-	copy(sweeps, c.swOrder)
-	c.mu.Unlock()
-	views := make([]server.SweepView, 0, len(sweeps))
-	for i := len(sweeps) - 1; i >= 0; i-- { // newest first
-		v := c.sweepStatus(r.Context(), sweeps[i])
-		v.RunIDs = nil
-		v.Cells = nil
-		views = append(views, v)
-	}
-	page, next := server.Paginate(views, p,
-		func(v server.SweepView) string { return v.ID },
-		func(v server.SweepView) bool { return p.State == "" || v.State == p.State })
-	server.WriteJSON(w, http.StatusOK, server.SweepListResponse{Sweeps: page, NextCursor: next})
+	return c.sweepStatus(context.TODO(), cs), nil
 }
 
-func (c *Coordinator) handleCancelSweep(w http.ResponseWriter, r *http.Request) {
-	cs := c.lookupSweep(w, r.PathValue("id"))
-	if cs == nil {
-		return
-	}
+// Sweeps lists every sweep's status, newest first.
+func (c *Coordinator) Sweeps() []runqueue.SweepStatus {
 	c.mu.Lock()
-	members := make([]*crun, 0, len(cs.runIDs))
+	sweeps := append([]*csweep(nil), c.swOrder...)
+	c.mu.Unlock()
+	out := make([]runqueue.SweepStatus, 0, len(sweeps))
+	for i := len(sweeps) - 1; i >= 0; i-- {
+		out = append(out, c.sweepStatus(context.TODO(), sweeps[i]))
+	}
+	return out
+}
+
+// CancelSweep cancels every non-terminal member on its node, best effort.
+func (c *Coordinator) CancelSweep(id string) (runqueue.SweepStatus, error) {
+	cs, err := c.lookupSweep(id)
+	if err != nil {
+		return runqueue.SweepStatus{}, err
+	}
+	ctx := context.TODO()
+	c.mu.Lock()
+	var members []*crun
 	for _, id := range cs.runIDs {
 		if cr := c.runs[id]; cr != nil && cr.final == nil {
 			members = append(members, cr)
@@ -1362,37 +1153,28 @@ func (c *Coordinator) handleCancelSweep(w http.ResponseWriter, r *http.Request) 
 	}
 	c.mu.Unlock()
 	for _, cr := range members {
-		c.mu.Lock()
-		n := c.nodes[cr.nodeID]
-		remoteID := cr.remoteID
-		c.mu.Unlock()
-		if n != nil && remoteID != "" {
-			n.cli.CancelRun(r.Context(), remoteID) // best effort
-		}
-		c.refresh(r.Context(), cr)
+		c.cancelRemote(ctx, cr)
+		c.refresh(ctx, cr)
 	}
-	v := c.sweepStatus(r.Context(), cs)
-	v.RunIDs = nil
-	v.Cells = nil
-	server.WriteJSON(w, http.StatusOK, v)
+	return c.sweepStatus(ctx, cs), nil
 }
 
 // ---------------------------------------------------------------------------
 // Node plane.
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
-	var req RegisterRequest
-	if !decodeBody(w, r, &req) {
+	var req wire.NodeRegisterRequest
+	if !server.DecodeBody(w, r, &req) {
 		return
 	}
 	if req.APIRevision != server.APIRevision {
-		server.WriteError(w, http.StatusBadRequest, server.CodeIncompatibleRevision,
+		server.WriteError(w, http.StatusBadRequest, wire.CodeIncompatibleRevision,
 			fmt.Errorf("fleet: node speaks API revision %d, coordinator speaks %d",
 				req.APIRevision, server.APIRevision))
 		return
 	}
 	if req.Addr == "" {
-		server.WriteError(w, http.StatusBadRequest, server.CodeInvalidRequest,
+		server.WriteError(w, http.StatusBadRequest, wire.CodeInvalidRequest,
 			errors.New("fleet: registration needs a non-empty addr"))
 		return
 	}
@@ -1456,15 +1238,15 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		c.requeue(r.Context(), cr, "node restarted")
 	}
 	c.reconcile(r.Context(), n, adoptees)
-	server.WriteJSON(w, http.StatusOK, RegisterResponse{
+	server.WriteJSON(w, http.StatusOK, wire.NodeRegisterResponse{
 		ID:                 n.id,
 		HeartbeatIntervalS: c.health.HeartbeatInterval.Seconds(),
 	})
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req HeartbeatRequest
-	if !decodeBody(w, r, &req) {
+	var req wire.NodeHeartbeatRequest
+	if !server.DecodeBody(w, r, &req) {
 		return
 	}
 	id := r.PathValue("id")
@@ -1475,7 +1257,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		// A scale-drain is an instruction, not an amnesia: answering
 		// "drained" makes the agent leave the fleet instead of the 404 that
 		// would make it re-register.
-		server.WriteJSON(w, http.StatusOK, HeartbeatResponse{State: StateDrained})
+		server.WriteJSON(w, http.StatusOK, wire.NodeHeartbeatResponse{State: string(StateDrained)})
 		return
 	}
 	if n == nil || n.drained || n.pendingReconcile {
@@ -1483,7 +1265,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		// 404 tells the node to re-register: it is unknown, was declared
 		// dead and its record is now a tombstone, or it predates a
 		// coordinator restart and must run the reconcile protocol.
-		server.WriteError(w, http.StatusNotFound, server.CodeNotFound,
+		server.WriteError(w, http.StatusNotFound, wire.CodeNotFound,
 			fmt.Errorf("fleet: no live node %q (re-register)", id))
 		return
 	}
@@ -1495,19 +1277,18 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	state := CombineState(StateHealthy, n.cordoned, n.drained)
 	c.mu.Unlock()
 	c.met.heartbeats.Inc()
-	server.WriteJSON(w, http.StatusOK, HeartbeatResponse{State: state})
+	server.WriteJSON(w, http.StatusOK, wire.NodeHeartbeatResponse{State: string(state)})
 }
 
-// nodeViewLocked renders a node for the wire using the client mirror type,
-// so coordinator and client literally share the schema.
-func (c *Coordinator) nodeViewLocked(n *node) client.NodeView {
+// nodeViewLocked renders a node for the wire.
+func (c *Coordinator) nodeViewLocked(n *node) wire.NodeView {
 	live := c.health.Liveness(c.now().Sub(n.lastBeat))
 	if n.pendingReconcile {
 		// Recovered from the store but not yet re-registered: never report
 		// it healthy, whatever the rehydrated heartbeat clock says.
 		live = StateUnhealthy
 	}
-	return client.NodeView{
+	return wire.NodeView{
 		ID:              n.id,
 		Name:            n.name,
 		Addr:            n.addr,
@@ -1530,19 +1311,19 @@ func (c *Coordinator) handleListNodes(w http.ResponseWriter, r *http.Request) {
 	p, err := server.ParsePageParams(r,
 		string(StateHealthy), string(StateCordoned), string(StateUnhealthy), string(StateDrained))
 	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, server.CodeInvalidRequest, err)
+		server.WriteError(w, http.StatusBadRequest, wire.CodeInvalidRequest, err)
 		return
 	}
 	c.mu.Lock()
-	views := make([]client.NodeView, 0, len(c.order))
+	views := make([]wire.NodeView, 0, len(c.order))
 	for i := len(c.order) - 1; i >= 0; i-- { // newest first
 		views = append(views, c.nodeViewLocked(c.order[i]))
 	}
 	c.mu.Unlock()
 	page, next := server.Paginate(views, p,
-		func(v client.NodeView) string { return v.ID },
-		func(v client.NodeView) bool { return p.State == "" || v.State == p.State })
-	server.WriteJSON(w, http.StatusOK, client.NodePage{Nodes: page, NextCursor: next})
+		func(v wire.NodeView) string { return v.ID },
+		func(v wire.NodeView) bool { return p.State == "" || v.State == p.State })
+	server.WriteJSON(w, http.StatusOK, wire.NodePage{Nodes: page, NextCursor: next})
 }
 
 func (c *Coordinator) lookupNode(w http.ResponseWriter, id string) *node {
@@ -1550,38 +1331,28 @@ func (c *Coordinator) lookupNode(w http.ResponseWriter, id string) *node {
 	n := c.nodes[id]
 	c.mu.Unlock()
 	if n == nil {
-		server.WriteError(w, http.StatusNotFound, server.CodeNotFound,
+		server.WriteError(w, http.StatusNotFound, wire.CodeNotFound,
 			fmt.Errorf("fleet: no node %q", id))
 	}
 	return n
 }
 
-func (c *Coordinator) handleCordon(w http.ResponseWriter, r *http.Request) {
-	n := c.lookupNode(w, r.PathValue("id"))
-	if n == nil {
-		return
+// handleCordon returns the handler that sets (cordon) or clears (uncordon)
+// a node's manual placement stop.
+func (c *Coordinator) handleCordon(cordon bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		n := c.lookupNode(w, r.PathValue("id"))
+		if n == nil {
+			return
+		}
+		c.mu.Lock()
+		n.cordoned = cordon
+		c.persistNodeLocked(n)
+		v := c.nodeViewLocked(n)
+		c.mu.Unlock()
+		c.logf("fleet: node %s cordoned=%v", n.id, cordon)
+		server.WriteJSON(w, http.StatusOK, v)
 	}
-	c.mu.Lock()
-	n.cordoned = true
-	c.persistNodeLocked(n)
-	v := c.nodeViewLocked(n)
-	c.mu.Unlock()
-	c.logf("fleet: node %s cordoned", n.id)
-	server.WriteJSON(w, http.StatusOK, v)
-}
-
-func (c *Coordinator) handleUncordon(w http.ResponseWriter, r *http.Request) {
-	n := c.lookupNode(w, r.PathValue("id"))
-	if n == nil {
-		return
-	}
-	c.mu.Lock()
-	n.cordoned = false
-	c.persistNodeLocked(n)
-	v := c.nodeViewLocked(n)
-	c.mu.Unlock()
-	c.logf("fleet: node %s uncordoned", n.id)
-	server.WriteJSON(w, http.StatusOK, v)
 }
 
 // handleDrainNode cordons the node, then evicts its placed runs: each one
@@ -1603,61 +1374,15 @@ func (c *Coordinator) handleDrainNode(w http.ResponseWriter, r *http.Request) {
 		c.refresh(r.Context(), cr)
 		c.mu.Lock()
 		final := cr.final
-		remoteID := cr.remoteID
 		c.mu.Unlock()
 		if final != nil {
 			continue // finished before eviction: keep the result
 		}
-		if remoteID != "" {
-			n.cli.CancelRun(r.Context(), remoteID) // best effort: free the node
-		}
+		c.cancelRemote(r.Context(), cr) // best effort: free the node
 		c.requeue(r.Context(), cr, "node drained")
 	}
 	c.mu.Lock()
 	v := c.nodeViewLocked(n)
 	c.mu.Unlock()
 	server.WriteJSON(w, http.StatusOK, v)
-}
-
-// ---------------------------------------------------------------------------
-// Introspection.
-
-func (c *Coordinator) handleVersion(w http.ResponseWriter, r *http.Request) {
-	server.WriteJSON(w, http.StatusOK, server.Version(server.RoleCoordinator))
-}
-
-func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	status := "ok"
-	if c.draining {
-		status = "draining"
-	}
-	queue, inflight, total, healthy := 0, 0, 0, 0
-	now := c.now()
-	for _, n := range c.order {
-		if n.drained {
-			continue
-		}
-		total++
-		queue += n.queueDepth
-		inflight += n.inflight
-		if !n.pendingReconcile &&
-			CombineState(c.health.Liveness(now.Sub(n.lastBeat)), n.cordoned, n.drained) == StateHealthy {
-			healthy++
-		}
-	}
-	c.mu.Unlock()
-	server.WriteJSON(w, http.StatusOK, map[string]any{
-		"status":   status,
-		"uptime_s": time.Since(c.started).Seconds(),
-		"queue":    queue,
-		"inflight": inflight,
-		"nodes":    total,
-		"healthy":  healthy,
-	})
-}
-
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	c.reg.WritePrometheus(w)
 }

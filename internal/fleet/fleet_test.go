@@ -15,6 +15,7 @@ import (
 	"pdpasim/internal/leakcheck"
 	"pdpasim/internal/runqueue"
 	"pdpasim/internal/server"
+	"pdpasim/internal/wire"
 )
 
 func TestHealthConfigDefaults(t *testing.T) {
@@ -415,8 +416,8 @@ func TestCordonStopsPlacements(t *testing.T) {
 		Options:  client.RunOptions{Policy: "equip"},
 	})
 	apiErr, ok := err.(*client.APIError)
-	if !ok || apiErr.Code != server.CodeNoHealthyNodes {
-		t.Fatalf("submit on cordoned fleet: err = %v, want %s", err, server.CodeNoHealthyNodes)
+	if !ok || apiErr.Code != wire.CodeNoHealthyNodes {
+		t.Fatalf("submit on cordoned fleet: err = %v, want %s", err, wire.CodeNoHealthyNodes)
 	}
 	if _, err := f.cli.UncordonNode(ctx, id); err != nil {
 		t.Fatal(err)
@@ -542,14 +543,14 @@ func TestRegisterRevisionMismatch(t *testing.T) {
 	f := startFleet(t, 0, PlaceRoundRobin, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	var resp RegisterResponse
-	err := f.cli.Do(ctx, http.MethodPost, "/v1/nodes/register", RegisterRequest{
+	var resp wire.NodeRegisterResponse
+	err := f.cli.Do(ctx, http.MethodPost, "/v1/nodes/register", wire.NodeRegisterRequest{
 		Addr:        "http://127.0.0.1:1",
 		APIRevision: server.APIRevision + 1,
 	}, &resp)
 	apiErr, ok := err.(*client.APIError)
-	if !ok || apiErr.Code != server.CodeIncompatibleRevision || apiErr.Status != http.StatusBadRequest {
-		t.Fatalf("mismatched registration: err = %v, want 400 %s", err, server.CodeIncompatibleRevision)
+	if !ok || apiErr.Code != wire.CodeIncompatibleRevision || apiErr.Status != http.StatusBadRequest {
+		t.Fatalf("mismatched registration: err = %v, want 400 %s", err, wire.CodeIncompatibleRevision)
 	}
 }
 
@@ -578,7 +579,7 @@ func TestNoNodesRejectsSubmissions(t *testing.T) {
 		Options:  client.RunOptions{Policy: "equip"},
 	})
 	apiErr, ok := err.(*client.APIError)
-	if !ok || apiErr.Code != server.CodeNoHealthyNodes {
-		t.Fatalf("submit on empty fleet: err = %v, want %s", err, server.CodeNoHealthyNodes)
+	if !ok || apiErr.Code != wire.CodeNoHealthyNodes {
+		t.Fatalf("submit on empty fleet: err = %v, want %s", err, wire.CodeNoHealthyNodes)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"pdpasim/internal/faults"
 	"pdpasim/internal/runqueue"
 	"pdpasim/internal/server"
+	"pdpasim/internal/wire"
 )
 
 // AgentConfig parameterizes a node's membership in a fleet.
@@ -131,7 +132,7 @@ func (a *Agent) loop(ctx context.Context) {
 // interval. ok is false when the context ended or the revision mismatch
 // made registration permanently hopeless.
 func (a *Agent) register(ctx context.Context) (time.Duration, bool) {
-	req := RegisterRequest{
+	req := wire.NodeRegisterRequest{
 		Name:        a.cfg.Name,
 		Addr:        a.cfg.Advertise,
 		APIRevision: server.APIRevision,
@@ -140,7 +141,7 @@ func (a *Agent) register(ctx context.Context) (time.Duration, bool) {
 		MaxWorkers:  a.cfg.MaxWorkers,
 	}
 	for {
-		var resp RegisterResponse
+		var resp wire.NodeRegisterResponse
 		err := a.cli.Do(ctx, http.MethodPost, "/v1/nodes/register", req, &resp)
 		if err == nil {
 			a.mu.Lock()
@@ -154,7 +155,7 @@ func (a *Agent) register(ctx context.Context) (time.Duration, bool) {
 			return interval, true
 		}
 		var api *client.APIError
-		if errors.As(err, &api) && api.Code == server.CodeIncompatibleRevision {
+		if errors.As(err, &api) && api.Code == wire.CodeIncompatibleRevision {
 			a.mu.Lock()
 			a.fatal = fmt.Errorf("fleet: coordinator refused registration: %w", err)
 			a.mu.Unlock()
@@ -186,11 +187,11 @@ func (a *Agent) heartbeatLoop(ctx context.Context, interval time.Duration) bool 
 			continue
 		}
 		st := a.pool.Stats()
-		req := HeartbeatRequest{QueueDepth: st.QueueDepth, Inflight: st.Inflight, Draining: st.Draining}
-		var resp HeartbeatResponse
+		req := wire.NodeHeartbeatRequest{QueueDepth: st.QueueDepth, Inflight: st.Inflight, Draining: st.Draining}
+		var resp wire.NodeHeartbeatResponse
 		err := a.cli.Do(ctx, http.MethodPost, "/v1/nodes/"+a.ID()+"/heartbeat", req, &resp)
 		if err == nil {
-			if resp.State == StateDrained {
+			if resp.State == string(StateDrained) {
 				// The coordinator scale-drained this node: leave the fleet
 				// for good (the pool keeps running; Stop still works).
 				a.cfg.Logf("fleet: coordinator drained node %s; leaving the fleet", a.ID())

@@ -22,6 +22,7 @@ import (
 	"pdpasim/client"
 	"pdpasim/internal/runqueue"
 	"pdpasim/internal/store"
+	"pdpasim/internal/wire"
 )
 
 // Record kinds in the coordinator's store. They share a journal format with
@@ -59,19 +60,19 @@ type nodeRecord struct {
 // node's own record was lost; Final carries the terminal view verbatim,
 // result bytes included.
 type crunRecord struct {
-	ID        string          `json:"id"`
-	Key       string          `json:"key"`
-	Spec      runqueue.Spec   `json:"spec"`
-	DeadlineS float64         `json:"deadline_s,omitempty"`
-	Submitted time.Time       `json:"submitted"`
-	NodeID    string          `json:"node_id,omitempty"`
-	NodeAddr  string          `json:"node_addr,omitempty"`
-	RemoteID  string          `json:"remote_id,omitempty"`
-	State     string          `json:"state"`
-	CacheHit  bool            `json:"cache_hit,omitempty"`
-	Deduped   bool            `json:"deduped,omitempty"`
-	Requeues  int             `json:"requeues,omitempty"`
-	Final     *client.RunView `json:"final,omitempty"`
+	ID        string        `json:"id"`
+	Key       string        `json:"key"`
+	Spec      runqueue.Spec `json:"spec"`
+	DeadlineS float64       `json:"deadline_s,omitempty"`
+	Submitted time.Time     `json:"submitted"`
+	NodeID    string        `json:"node_id,omitempty"`
+	NodeAddr  string        `json:"node_addr,omitempty"`
+	RemoteID  string        `json:"remote_id,omitempty"`
+	State     string        `json:"state"`
+	CacheHit  bool          `json:"cache_hit,omitempty"`
+	Deduped   bool          `json:"deduped,omitempty"`
+	Requeues  int           `json:"requeues,omitempty"`
+	Final     *wire.RunView `json:"final,omitempty"`
 }
 
 // csweepRecord is the durable form of one sharded sweep: the resolved grid

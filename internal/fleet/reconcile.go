@@ -12,7 +12,7 @@ package fleet
 import (
 	"context"
 
-	"pdpasim/client"
+	"pdpasim/internal/wire"
 )
 
 // reconcileVerdict classifies one reconcile answer for a single run.
@@ -42,7 +42,7 @@ func (v reconcileVerdict) String() string {
 // point, pure so the table tests can enumerate it: view is the node's
 // answer for one run, nil when the node reported it missing (or did not
 // mention it at all, which recovery treats the same way).
-func reconcileVerdictFor(view *client.RunView) reconcileVerdict {
+func reconcileVerdictFor(view *wire.RunView) reconcileVerdict {
 	switch {
 	case view == nil:
 		return verdictRequeue
@@ -82,7 +82,7 @@ func (c *Coordinator) reconcile(ctx context.Context, n *node, runs []*crun) {
 	}
 	c.mu.Unlock()
 
-	var res client.ReconcileResult
+	var res wire.ReconcileResult
 	if len(ids) > 0 {
 		var err error
 		res, err = n.cli.ReconcileRuns(ctx, ids)
@@ -91,7 +91,7 @@ func (c *Coordinator) reconcile(ctx context.Context, n *node, runs []*crun) {
 			return
 		}
 	}
-	views := map[string]client.RunView{}
+	views := map[string]wire.RunView{}
 	for _, v := range res.Runs {
 		views[v.ID] = v
 	}
@@ -101,7 +101,7 @@ func (c *Coordinator) reconcile(ctx context.Context, n *node, runs []*crun) {
 	c.mu.Lock()
 	for _, remoteID := range ids {
 		cr := byRemote[remoteID]
-		var view *client.RunView
+		var view *wire.RunView
 		if v, ok := views[remoteID]; ok {
 			view = &v
 		}

@@ -3,7 +3,9 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"errors"
 	"net/http"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,6 +13,7 @@ import (
 	"pdpasim/client"
 	"pdpasim/internal/runqueue"
 	"pdpasim/internal/server"
+	"pdpasim/internal/wire"
 )
 
 // TestReconcileVerdict enumerates the reconcile state machine's single
@@ -269,14 +272,14 @@ func TestReconcileStaleRevision(t *testing.T) {
 	f.nodes[0].agent.Stop()
 	f.restartCoordinator()
 
-	var resp RegisterResponse
-	err = f.cli.Do(ctx, http.MethodPost, "/v1/nodes/register", RegisterRequest{
+	var resp wire.NodeRegisterResponse
+	err = f.cli.Do(ctx, http.MethodPost, "/v1/nodes/register", wire.NodeRegisterRequest{
 		Addr:        f.nodes[0].ts.URL,
 		APIRevision: server.APIRevision + 1,
 	}, &resp)
 	apiErr, ok := err.(*client.APIError)
-	if !ok || apiErr.Code != server.CodeIncompatibleRevision {
-		t.Fatalf("stale-revision register: err = %v, want %s", err, server.CodeIncompatibleRevision)
+	if !ok || apiErr.Code != wire.CodeIncompatibleRevision {
+		t.Fatalf("stale-revision register: err = %v, want %s", err, wire.CodeIncompatibleRevision)
 	}
 
 	v, err := f.cli.WaitRun(ctx, sub.ID, 0)
@@ -288,5 +291,56 @@ func TestReconcileStaleRevision(t *testing.T) {
 	}
 	if got := f.metric(ctx, "pdpad_fleet_requeues_total"); got < 1 {
 		t.Errorf("requeues_total = %v, want >= 1", got)
+	}
+}
+
+// TestStaleNodeGetsNoCalls: after a coordinator restart, a node that has not
+// re-registered may have its old address taken by another incarnation whose
+// run IDs collide. Cancelling a sweep with members there, and draining that
+// node, must send it nothing.
+func TestStaleNodeGetsNoCalls(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	slow := HealthConfig{HeartbeatInterval: time.Second} // no death verdict mid-test
+	f := startDurableFleetH(t, 1, slow, func(int) runqueue.Config {
+		return runqueue.Config{Simulate: func(ctx context.Context, spec runqueue.Spec) (*pdpasim.Outcome, error) {
+			select {
+			case <-release:
+			case <-ctx.Done():
+			}
+			return nil, errors.New("stub")
+		}}
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	sub, err := f.cli.SubmitSweep(ctx, client.SubmitSweepRequest{SweepSpec: client.SweepSpec{
+		Policies: []string{"equip"}, Mixes: []string{"w1"}, Seeds: []int64{1, 2},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodeID := f.nodes[0].agent.ID()
+
+	// The node leaves for good; a stranger answers at its old address.
+	addr := f.nodes[0].ts.Listener.Addr().String()
+	f.nodes[0].kill()
+	var calls atomic.Int64
+	stranger := serveAt(t, addr, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		t.Errorf("stale node address got %s %s", r.Method, r.URL.Path)
+		http.NotFound(w, r)
+	}))
+	defer stranger.Close()
+	f.killCoordinator()
+	f.restartCoordinator()
+
+	if _, err := f.cli.CancelSweep(ctx, sub.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.cli.DrainNode(ctx, nodeID); err != nil {
+		t.Fatal(err)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("%d requests reached the stale node's address, want 0", n)
 	}
 }

@@ -458,7 +458,7 @@ func TestSSESlowSubscriberDrops(t *testing.T) {
 		t.Fatalf("sse dropped %d events, want ≥ 1", got)
 	}
 	ev, ok := <-ch
-	if !ok || ev.State != Queued {
+	if !ok || ev.State != string(Queued) {
 		t.Fatalf("buffered event %+v ok=%v, want the initial queued state", ev, ok)
 	}
 	if _, ok := <-ch; ok {

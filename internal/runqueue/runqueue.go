@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"runtime"
 	"sort"
 	"sync"
@@ -15,6 +16,7 @@ import (
 	"pdpasim/internal/faults"
 	"pdpasim/internal/obs"
 	"pdpasim/internal/store"
+	"pdpasim/internal/wire"
 )
 
 // State is a run's lifecycle state.
@@ -201,15 +203,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Event is one lifecycle transition, streamed to subscribers (the daemon's
-// SSE endpoint).
-type Event struct {
-	RunID   string    `json:"run_id"`
-	State   State     `json:"state"`
-	At      time.Time `json:"at"`
-	Message string    `json:"message,omitempty"`
-}
-
 // run is the pool's record of one submission. All mutable fields are
 // guarded by the pool mutex.
 type run struct {
@@ -228,7 +221,7 @@ type run struct {
 
 	cancel          context.CancelFunc
 	cancelRequested bool
-	subs            []chan Event
+	subs            []chan wire.Event
 	done            chan struct{}
 }
 
@@ -944,7 +937,7 @@ func (p *Pool) broadcastLocked(r *run, msg string) {
 		p.met.degraded.Add(uint64(len(r.subs)))
 		return
 	}
-	ev := Event{RunID: r.id, State: r.state, At: time.Now(), Message: msg}
+	ev := wire.Event{RunID: r.id, State: string(r.state), At: time.Now(), Message: msg}
 	for _, ch := range r.subs {
 		select {
 		case ch <- ev:
@@ -979,15 +972,15 @@ func (p *Pool) notifyObserverLocked(r *run, msg string) {
 // Subscribe returns a channel of lifecycle events for a run, beginning with
 // its current state. The channel closes once the run is terminal (or when
 // the returned cancel function is called).
-func (p *Pool) Subscribe(id string) (<-chan Event, func(), error) {
+func (p *Pool) Subscribe(id string) (<-chan wire.Event, func(), error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	r, ok := p.runs[id]
 	if !ok {
 		return nil, nil, ErrNotFound
 	}
-	ch := make(chan Event, p.cfg.EventBuffer)
-	ch <- Event{RunID: r.id, State: r.state, At: time.Now()}
+	ch := make(chan wire.Event, p.cfg.EventBuffer)
+	ch <- wire.Event{RunID: r.id, State: string(r.state), At: time.Now()}
 	if r.state.Terminal() {
 		close(ch)
 		return ch, func() {}, nil
@@ -1005,6 +998,36 @@ func (p *Pool) Subscribe(id string) (<-chan Event, func(), error) {
 		}
 	}
 	return ch, unsub, nil
+}
+
+// FollowRun streams a run's lifecycle to emit, beginning with its current
+// state and ending after the terminal state, when emit returns false, or
+// when ctx ends. A slow follower may miss intermediate states, never the
+// terminal one.
+func (p *Pool) FollowRun(ctx context.Context, id string, emit func(wire.Event) bool) error {
+	events, unsub, err := p.Subscribe(id)
+	if err != nil {
+		return err
+	}
+	defer unsub()
+	for {
+		select {
+		case <-ctx.Done():
+			return nil
+		case ev, ok := <-events:
+			if !ok {
+				// Channel closed: make sure the follower saw the terminal
+				// state even if an intermediate send was dropped.
+				if snap, err := p.Get(id); err == nil && snap.State.Terminal() {
+					emit(wire.Event{RunID: id, State: string(snap.State), At: snap.Finished, Message: snap.errMsg()})
+				}
+				return nil
+			}
+			if !emit(ev) {
+				return nil
+			}
+		}
+	}
 }
 
 func (r *run) snapshotLocked() Snapshot {
@@ -1045,6 +1068,87 @@ func (p *Pool) Runs() []Snapshot {
 	// lexicographically.
 	sort.Slice(out, func(i, j int) bool { return out[i].ID > out[j].ID })
 	return out
+}
+
+// View renders the snapshot as its v1 wire view, with the result JSON
+// only when includeResult is set.
+func (s Snapshot) View(includeResult bool) wire.RunView {
+	v := wire.RunView{
+		ID:          s.ID,
+		State:       string(s.State),
+		Error:       s.errMsg(),
+		SubmittedAt: s.Submitted,
+		CacheKey:    s.Key,
+		Spec:        wire.Spec(s.Spec),
+	}
+	if !s.Started.IsZero() {
+		t := s.Started
+		v.StartedAt = &t
+	}
+	if !s.Finished.IsZero() {
+		t := s.Finished
+		v.FinishedAt = &t
+		if !s.Started.IsZero() {
+			v.WallSeconds = s.Finished.Sub(s.Started).Seconds()
+		}
+	}
+	if includeResult {
+		v.Result = s.ResultJSON
+	}
+	return v
+}
+
+func (s Snapshot) errMsg() string {
+	if s.Err == nil {
+		return ""
+	}
+	return s.Err.Error()
+}
+
+// RunView returns a run's v1 view, result included.
+func (p *Pool) RunView(_ context.Context, id string) (wire.RunView, error) {
+	snap, err := p.Get(id)
+	return snap.View(true), err
+}
+
+// RunViews lists every known run's v1 view, newest first, without results.
+func (p *Pool) RunViews(context.Context) []wire.RunView {
+	snaps := p.Runs()
+	views := make([]wire.RunView, len(snaps))
+	for i, snap := range snaps {
+		views[i] = snap.View(false)
+	}
+	return views
+}
+
+// CancelRun is Cancel answering with the run's v1 view.
+func (p *Pool) CancelRun(_ context.Context, id string) (wire.RunView, error) {
+	snap, err := p.Cancel(id)
+	return snap.View(false), err
+}
+
+// Trace returns the run's recorded decision trace JSON ({"events": [...],
+// "dropped": n}), available once the run is done unless tracing is off.
+func (p *Pool) Trace(_ context.Context, id string) ([]byte, error) {
+	snap, err := p.Get(id)
+	if err != nil {
+		return nil, err
+	}
+	if len(snap.TraceJSON) == 0 {
+		return nil, wire.Errorf(http.StatusNotFound, wire.CodeNotFound,
+			"run %s has no decision trace (state %s; tracing may be disabled)", snap.ID, snap.State)
+	}
+	return snap.TraceJSON, nil
+}
+
+// Health is the pool's GET /healthz summary.
+func (p *Pool) Health() wire.Health {
+	st := p.Stats()
+	h := wire.Health{Status: "ok", Queue: st.QueueDepth, Inflight: st.Inflight}
+	if st.Draining {
+		h.Status = "draining"
+	}
+	return h
 }
 
 // Done returns a channel closed when the run reaches a terminal state.

@@ -510,8 +510,8 @@ func TestEventsLifecycle(t *testing.T) {
 		if ev.RunID != res.ID {
 			t.Fatalf("event for wrong run %s", ev.RunID)
 		}
-		states = append(states, ev.State)
-		if ev.State.Terminal() {
+		states = append(states, State(ev.State))
+		if State(ev.State).Terminal() {
 			break
 		}
 	}
@@ -536,7 +536,7 @@ func TestEventsLifecycle(t *testing.T) {
 	}
 	defer unsub2()
 	ev, ok := <-ch2
-	if !ok || ev.State != Done {
+	if !ok || ev.State != string(Done) {
 		t.Fatalf("late subscription: %+v ok=%v", ev, ok)
 	}
 	if _, ok := <-ch2; ok {

@@ -9,6 +9,7 @@ import (
 	"pdpasim"
 	"pdpasim/internal/metrics"
 	"pdpasim/internal/sweep"
+	"pdpasim/internal/wire"
 )
 
 // SweepSpec is the wire form of a sweep submission: the policy × mix × load
@@ -17,26 +18,7 @@ import (
 // PDPA-style MPL admission rule, the canonical-config result cache, and
 // singleflight deduplication — so overlapping sweeps share simulations
 // instead of repeating them.
-type SweepSpec struct {
-	// Policies and Mixes span the grid (required, at least one each).
-	Policies []string `json:"policies"`
-	Mixes    []string `json:"mixes"`
-	// Loads are the demand levels; empty means {1.0}.
-	Loads []float64 `json:"loads,omitempty"`
-	// Seeds are the replicate seeds aggregated per cell; empty means {0}.
-	// Each member run uses its seed for both the workload and the
-	// measurement noise, matching the in-process engine.
-	Seeds []int64 `json:"seeds,omitempty"`
-	// NCPU, WindowS, and UniformRequest parameterize workload generation
-	// exactly as WorkloadSpec does.
-	NCPU           int     `json:"ncpu,omitempty"`
-	WindowS        float64 `json:"window_s,omitempty"`
-	UniformRequest int     `json:"uniform_request,omitempty"`
-	// Options carries the scheduling knobs shared by every member (PDPA
-	// parameter overrides, fixed MPL, noise, NUMA). Its Policy and Seed
-	// fields are ignored: the grid supplies them per member.
-	Options RunOptions `json:"options,omitempty"`
-}
+type SweepSpec wire.SweepSpec
 
 func (s SweepSpec) withDefaults() SweepSpec {
 	if len(s.Loads) == 0 {
@@ -229,7 +211,7 @@ func (p *Pool) GetSweep(id string) (SweepStatus, error) {
 	if !ok {
 		return SweepStatus{}, ErrNotFound
 	}
-	return p.sweepStatusLocked(rec)
+	return p.sweepStatusLocked(rec), nil
 }
 
 // Sweeps lists every known sweep's status, newest first.
@@ -238,11 +220,7 @@ func (p *Pool) Sweeps() []SweepStatus {
 	defer p.mu.Unlock()
 	out := make([]SweepStatus, 0, len(p.sweeps))
 	for _, rec := range p.sweeps {
-		st, err := p.sweepStatusLocked(rec)
-		if err != nil {
-			continue
-		}
-		out = append(out, st)
+		out = append(out, p.sweepStatusLocked(rec))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID > out[j].ID })
 	return out
@@ -265,52 +243,76 @@ func (p *Pool) CancelSweep(id string) (SweepStatus, error) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.sweepStatusLocked(rec)
+	return p.sweepStatusLocked(rec), nil
 }
 
-func (p *Pool) sweepStatusLocked(rec *sweepRec) (SweepStatus, error) {
-	st := SweepStatus{
-		ID:        rec.id,
-		Spec:      rec.spec,
-		Submitted: rec.submitted,
-		Total:     len(rec.runIDs),
-		RunIDs:    rec.runIDs,
-		State:     Queued,
-	}
+func (p *Pool) sweepStatusLocked(rec *sweepRec) SweepStatus {
+	st := SweepStatus{ID: rec.id, Spec: rec.spec, Submitted: rec.submitted, RunIDs: rec.runIDs}
+	return AggregateSweep(st, func(id string) (SweepMember, bool) {
+		r, ok := p.runs[id]
+		if !ok {
+			return SweepMember{}, false
+		}
+		m := SweepMember{State: r.state, Result: r.resultJSON}
+		if r.err != nil {
+			m.Err = r.err.Error()
+		}
+		return m, true
+	})
+}
+
+// SweepMember is one member run's state as a sweep status reads it.
+type SweepMember struct {
+	State State
+	// Err is the failure message, "" if none.
+	Err string
+	// Result is the Outcome JSON once State is Done.
+	Result []byte
+}
+
+// AggregateSweep fills in st's progress and state and, once every member is
+// done, its per-cell aggregates. st carries the sweep's identity: ID, Spec
+// (defaults resolved), Submitted, and RunIDs in grid order. member reports
+// one member run by ID; ok is false when the run is gone from history. The
+// pool and the fleet coordinator both aggregate here, which is what keeps
+// a fleet sweep's cells byte-identical to a standalone pool's.
+func AggregateSweep(st SweepStatus, member func(id string) (SweepMember, bool)) SweepStatus {
+	st.Total = len(st.RunIDs)
+	st.State = Queued
 	allDone := true
 	anyStarted := false
 	var exports []metrics.Export
-	for _, runID := range rec.runIDs {
-		r, ok := p.runs[runID]
+	for _, runID := range st.RunIDs {
+		m, ok := member(runID)
 		if !ok {
 			// Member evicted from history: its result is gone; the sweep can
 			// no longer be aggregated.
 			st.Errors = append(st.Errors, fmt.Sprintf("%s: evicted from history", runID))
 			st.State = Failed
-			return st, nil
+			return st
 		}
-		if r.state != Queued {
+		if m.State != Queued {
 			anyStarted = true
 		}
-		if r.state.Terminal() {
+		if m.State.Terminal() {
 			st.Done++
 		}
-		switch r.state {
+		switch m.State {
 		case Done:
 			if allDone {
 				var ex metrics.Export
-				if err := json.Unmarshal(r.resultJSON, &ex); err != nil {
+				if err := json.Unmarshal(m.Result, &ex); err != nil {
 					st.Errors = append(st.Errors, fmt.Sprintf("%s: decoding result: %v", runID, err))
 					st.State = Failed
-					return st, nil
+					return st
 				}
 				exports = append(exports, ex)
 			}
 		case Failed:
 			allDone = false
 			st.State = Failed
-			if r.err != nil {
-				st.Errors = append(st.Errors, fmt.Sprintf("%s: %v", runID, r.err))
+			if m.Err != "" {
+				st.Errors = append(st.Errors, fmt.Sprintf("%s: %s", runID, m.Err))
 			}
 		case Canceled:
 			allDone = false
@@ -325,23 +327,23 @@ func (p *Pool) sweepStatusLocked(rec *sweepRec) (SweepStatus, error) {
 		st.State = Running
 	}
 	if !allDone {
-		return st, nil
+		return st
 	}
 	st.State = Done
 	// Aggregate exactly as the in-process engine does: cells in grid order,
 	// each over its contiguous block of seed replicates.
-	nseeds := len(rec.spec.Seeds)
+	nseeds := len(st.Spec.Seeds)
 	i := 0
-	for _, mix := range rec.spec.Mixes {
-		for _, load := range rec.spec.Loads {
-			for _, pol := range rec.spec.Policies {
+	for _, mix := range st.Spec.Mixes {
+		for _, load := range st.Spec.Loads {
+			for _, pol := range st.Spec.Policies {
 				st.Cells = append(st.Cells, sweep.Summarize(
-					canonicalPolicy(pol), mix, load, rec.spec.Seeds, exports[i:i+nseeds]))
+					canonicalPolicy(pol), mix, load, st.Spec.Seeds, exports[i:i+nseeds]))
 				i += nseeds
 			}
 		}
 	}
-	return st, nil
+	return st
 }
 
 // canonicalPolicy renders the policy name as the simulator reports it, so

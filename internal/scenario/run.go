@@ -861,7 +861,7 @@ func (r *runner) oracleCells(spec *SubmitSweepEvent) ([]byte, error) {
 	}()
 	ctx, cancel := context.WithTimeout(context.Background(), waitTimeout)
 	defer cancel()
-	sub, err := cli.SubmitSweep(ctx, sweepWire(spec))
+	sub, err := cli.SubmitSweep(ctx, client.SubmitSweepRequest{SweepSpec: spec.SweepSpec})
 	if err != nil {
 		return nil, err
 	}
@@ -873,18 +873,6 @@ func (r *runner) oracleCells(spec *SubmitSweepEvent) ([]byte, error) {
 		return nil, fmt.Errorf("oracle sweep settled as %s (errors %v)", v.State, v.Errors)
 	}
 	return v.Cells, nil
-}
-
-// sweepWire converts a submit_sweep event to the client's wire shape.
-func sweepWire(e *SubmitSweepEvent) client.SubmitSweepRequest {
-	return client.SubmitSweepRequest{SweepSpec: client.SweepSpec{
-		Policies: e.Policies,
-		Mixes:    e.Mixes,
-		Loads:    e.Loads,
-		Seeds:    e.Seeds,
-		NCPU:     e.NCPU,
-		WindowS:  e.WindowS,
-	}}
 }
 
 // checkCounter evaluates a recovery-counter assertion by bounding its metric

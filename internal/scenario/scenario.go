@@ -20,6 +20,7 @@ import (
 
 	"pdpasim/internal/faults"
 	"pdpasim/internal/runqueue"
+	"pdpasim/internal/wire"
 )
 
 // Scenario is one parsed, validated scenario file.
@@ -167,15 +168,11 @@ type NodeEvent struct {
 }
 
 // SubmitSweepEvent submits one named sweep grid: policies × mixes × loads ×
-// seeds, exactly the POST /v1/sweeps surface.
+// seeds, exactly the POST /v1/sweeps surface (scenarios set the grid, ncpu,
+// and window_s).
 type SubmitSweepEvent struct {
-	Name     string
-	Policies []string
-	Mixes    []string
-	Loads    []float64
-	Seeds    []int64
-	NCPU     int
-	WindowS  float64
+	Name string
+	wire.SweepSpec
 }
 
 // WaitSweepEvent blocks until the named sweep reaches a terminal state

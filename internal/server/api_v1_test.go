@@ -20,18 +20,19 @@ import (
 	"pdpasim"
 	"pdpasim/internal/faults"
 	"pdpasim/internal/runqueue"
+	"pdpasim/internal/wire"
 )
 
 // decodeEnvelope strictly decodes the error envelope — unknown or missing
 // fields fail the test, so the wire shape cannot drift silently.
-func decodeEnvelope(t *testing.T, resp *http.Response) ErrorBody {
+func decodeEnvelope(t *testing.T, resp *http.Response) wire.Error {
 	t.Helper()
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("error response content type %q, want application/json", ct)
 	}
 	dec := json.NewDecoder(resp.Body)
 	dec.DisallowUnknownFields()
-	var env ErrorResponse
+	var env wire.ErrorResponse
 	if err := dec.Decode(&env); err != nil {
 		t.Fatalf("error response is not the envelope: %v", err)
 	}
@@ -55,25 +56,16 @@ func get(t *testing.T, url string) *http.Response {
 // TestErrorEnvelopeGolden: the 404 body, byte for byte — the reference
 // rendering of the envelope.
 func TestErrorEnvelopeGolden(t *testing.T) {
-	ts, _ := newTestServer(t, runqueue.Config{Simulate: failFastSim})
-	resp := get(t, ts.URL+"/v1/runs/run-999999")
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("status %d, want 404", resp.StatusCode)
-	}
-	var body strings.Builder
-	if _, err := fmt.Fprint(&body, mustReadAll(t, resp)); err != nil {
-		t.Fatal(err)
-	}
-	const golden = `{
-  "error": {
-    "code": "not_found",
-    "message": "runqueue: no such run"
-  }
-}
-`
-	if body.String() != golden {
-		t.Fatalf("404 body:\n%s\nwant:\n%s", body.String(), golden)
-	}
+	forEachBackend(t, func(t *testing.T, b ContractBackend) {
+		ts := b.Start(t, runqueue.Config{Simulate: failFastSim})
+		resp := get(t, ts.URL+"/v1/runs/run-999999")
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("status %d, want 404", resp.StatusCode)
+		}
+		if body := mustReadAll(t, resp); body != b.NotFoundBody {
+			t.Fatalf("404 body:\n%s\nwant:\n%s", body, b.NotFoundBody)
+		}
+	})
 }
 
 func mustReadAll(t *testing.T, resp *http.Response) string {
@@ -93,40 +85,46 @@ func mustReadAll(t *testing.T, resp *http.Response) string {
 // produce and checks each answers the envelope with its stable code.
 func TestErrorEnvelopeStatusPaths(t *testing.T) {
 	t.Run("400 invalid_request", func(t *testing.T) {
-		ts, _ := newTestServer(t, runqueue.Config{Simulate: failFastSim})
-		resp := postRaw(t, ts.URL+"/v1/runs", "{not json")
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("status %d, want 400", resp.StatusCode)
-		}
-		if env := decodeEnvelope(t, resp); env.Code != CodeInvalidRequest || env.RetryAfterSeconds != 0 {
-			t.Fatalf("envelope %+v, want code %s without retry hint", env, CodeInvalidRequest)
-		}
+		forEachBackend(t, func(t *testing.T, b ContractBackend) {
+			ts := b.Start(t, runqueue.Config{Simulate: failFastSim})
+			resp := postRaw(t, ts.URL+"/v1/runs", "{not json")
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status %d, want 400", resp.StatusCode)
+			}
+			if env := decodeEnvelope(t, resp); env.Code != wire.CodeInvalidRequest || env.RetryAfterSeconds != 0 {
+				t.Fatalf("envelope %+v, want code %s without retry hint", env, wire.CodeInvalidRequest)
+			}
+		})
 	})
 
 	t.Run("404 not_found", func(t *testing.T) {
-		ts, _ := newTestServer(t, runqueue.Config{Simulate: failFastSim})
-		for _, path := range []string{"/v1/runs/run-999999", "/v1/sweeps/sweep-999999",
-			"/v1/runs/run-999999/trace", "/v1/runs/run-999999/events"} {
-			resp := get(t, ts.URL+path)
-			if resp.StatusCode != http.StatusNotFound {
-				t.Fatalf("%s: status %d, want 404", path, resp.StatusCode)
+		forEachBackend(t, func(t *testing.T, b ContractBackend) {
+			ts := b.Start(t, runqueue.Config{Simulate: failFastSim})
+			for _, path := range []string{"/v1/runs/run-999999", "/v1/sweeps/sweep-999999",
+				"/v1/runs/run-999999/trace", "/v1/runs/run-999999/events"} {
+				resp := get(t, ts.URL+path)
+				if resp.StatusCode != http.StatusNotFound {
+					t.Fatalf("%s: status %d, want 404", path, resp.StatusCode)
+				}
+				if env := decodeEnvelope(t, resp); env.Code != wire.CodeNotFound {
+					t.Fatalf("%s: code %q, want %s", path, env.Code, wire.CodeNotFound)
+				}
 			}
-			if env := decodeEnvelope(t, resp); env.Code != CodeNotFound {
-				t.Fatalf("%s: code %q, want %s", path, env.Code, CodeNotFound)
-			}
-		}
+		})
 	})
 
 	t.Run("413 payload_too_large", func(t *testing.T) {
-		ts, _ := newTestServer(t, runqueue.Config{Simulate: failFastSim})
-		huge := `{"workload":{"mix":"` + strings.Repeat("x", maxRequestBody) + `"}}`
-		resp := postRaw(t, ts.URL+"/v1/runs", huge)
-		if resp.StatusCode != http.StatusRequestEntityTooLarge {
-			t.Fatalf("status %d, want 413", resp.StatusCode)
-		}
-		if env := decodeEnvelope(t, resp); env.Code != CodePayloadTooLarge {
-			t.Fatalf("code %q, want %s", env.Code, CodePayloadTooLarge)
-		}
+		forEachBackend(t, func(t *testing.T, b ContractBackend) {
+			ts := b.Start(t, runqueue.Config{Simulate: failFastSim})
+			huge := `{"workload":{"mix":"` + strings.Repeat("x", maxRequestBody) + `"}}`
+			resp := postRaw(t, ts.URL+"/v1/runs", huge)
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Fatalf("status %d, want 413", resp.StatusCode)
+			}
+			if env := decodeEnvelope(t, resp); env.Code != wire.CodePayloadTooLarge {
+				t.Fatalf("code %q, want %s", env.Code, wire.CodePayloadTooLarge)
+			}
+		})
 	})
 
 	t.Run("429 overloaded", func(t *testing.T) {
@@ -154,8 +152,8 @@ func TestErrorEnvelopeStatusPaths(t *testing.T) {
 			t.Fatalf("status %d, want 429", resp.StatusCode)
 		}
 		env := decodeEnvelope(t, resp)
-		if env.Code != CodeOverloaded || env.RetryAfterSeconds < 1 {
-			t.Fatalf("envelope %+v, want code %s with a retry hint", env, CodeOverloaded)
+		if env.Code != wire.CodeOverloaded || env.RetryAfterSeconds < 1 {
+			t.Fatalf("envelope %+v, want code %s with a retry hint", env, wire.CodeOverloaded)
 		}
 		if header, _ := strconv.Atoi(resp.Header.Get("Retry-After")); header != env.RetryAfterSeconds {
 			t.Fatalf("Retry-After header %q disagrees with body %d",
@@ -188,8 +186,8 @@ func TestErrorEnvelopeStatusPaths(t *testing.T) {
 			t.Fatalf("status %d, want 429", resp.StatusCode)
 		}
 		env := decodeEnvelope(t, resp)
-		if env.Code != CodeQueueFull || env.RetryAfterSeconds != 1 {
-			t.Fatalf("envelope %+v, want code %s with retry_after_seconds 1", env, CodeQueueFull)
+		if env.Code != wire.CodeQueueFull || env.RetryAfterSeconds != 1 {
+			t.Fatalf("envelope %+v, want code %s with retry_after_seconds 1", env, wire.CodeQueueFull)
 		}
 	})
 
@@ -204,8 +202,8 @@ func TestErrorEnvelopeStatusPaths(t *testing.T) {
 		if resp.StatusCode != http.StatusServiceUnavailable {
 			t.Fatalf("status %d, want 503", resp.StatusCode)
 		}
-		if env := decodeEnvelope(t, resp); env.Code != CodeDraining {
-			t.Fatalf("code %q, want %s", env.Code, CodeDraining)
+		if env := decodeEnvelope(t, resp); env.Code != wire.CodeDraining {
+			t.Fatalf("code %q, want %s", env.Code, wire.CodeDraining)
 		}
 	})
 
@@ -216,8 +214,8 @@ func TestErrorEnvelopeStatusPaths(t *testing.T) {
 		if resp.StatusCode != http.StatusServiceUnavailable {
 			t.Fatalf("status %d, want 503", resp.StatusCode)
 		}
-		if env := decodeEnvelope(t, resp); env.Code != CodeUnavailable {
-			t.Fatalf("code %q, want %s", env.Code, CodeUnavailable)
+		if env := decodeEnvelope(t, resp); env.Code != wire.CodeUnavailable {
+			t.Fatalf("code %q, want %s", env.Code, wire.CodeUnavailable)
 		}
 	})
 
@@ -228,20 +226,20 @@ func TestErrorEnvelopeStatusPaths(t *testing.T) {
 		if resp.StatusCode != http.StatusInternalServerError {
 			t.Fatalf("status %d, want 500", resp.StatusCode)
 		}
-		if env := decodeEnvelope(t, resp); env.Code != CodeInternal {
-			t.Fatalf("code %q, want %s", env.Code, CodeInternal)
+		if env := decodeEnvelope(t, resp); env.Code != wire.CodeInternal {
+			t.Fatalf("code %q, want %s", env.Code, wire.CodeInternal)
 		}
 	})
 }
 
 // listRuns fetches one page of GET /v1/runs with the given query string.
-func listRuns(t *testing.T, ts *httptest.Server, query string) RunListResponse {
+func listRuns(t *testing.T, ts *httptest.Server, query string) wire.RunPage {
 	t.Helper()
 	resp := get(t, ts.URL+"/v1/runs"+query)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /v1/runs%s: status %d", query, resp.StatusCode)
 	}
-	var page RunListResponse
+	var page wire.RunPage
 	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
 		t.Fatal(err)
 	}
@@ -251,48 +249,50 @@ func listRuns(t *testing.T, ts *httptest.Server, query string) RunListResponse {
 // TestListRunsPagination: walking limit-2 pages visits every run newest
 // first, exactly once, and the final page has no cursor.
 func TestListRunsPagination(t *testing.T) {
-	ts, _ := newTestServer(t, runqueue.Config{Simulate: failFastSim})
-	var ids []string
-	for seed := int64(1); seed <= 5; seed++ {
-		sr, status := postRun(t, ts, submitBody("w1", seed, "equip"))
-		if status != http.StatusAccepted {
-			t.Fatalf("submit %d: status %d", seed, status)
+	forEachBackend(t, func(t *testing.T, b ContractBackend) {
+		ts := b.Start(t, runqueue.Config{Simulate: failFastSim})
+		var ids []string
+		for seed := int64(1); seed <= 5; seed++ {
+			sr, status := postRun(t, ts, submitBody("w1", seed, "equip"))
+			if status != http.StatusAccepted {
+				t.Fatalf("submit %d: status %d", seed, status)
+			}
+			waitRunState(t, ts, sr.ID, "failed") // failFastSim fails instantly
+			ids = append(ids, sr.ID)
 		}
-		waitRunState(t, ts, sr.ID, "failed") // failFastSim fails instantly
-		ids = append(ids, sr.ID)
-	}
 
-	var walked []string
-	query := "?limit=2"
-	for pages := 0; ; pages++ {
-		if pages > 3 {
-			t.Fatal("pagination never terminated")
+		var walked []string
+		query := "?limit=2"
+		for pages := 0; ; pages++ {
+			if pages > 3 {
+				t.Fatal("pagination never terminated")
+			}
+			page := listRuns(t, ts, query)
+			if len(page.Runs) > 2 {
+				t.Fatalf("page of %d runs, want <= limit 2", len(page.Runs))
+			}
+			for _, v := range page.Runs {
+				walked = append(walked, v.ID)
+			}
+			if page.NextCursor == "" {
+				break
+			}
+			query = "?limit=2&cursor=" + page.NextCursor
 		}
-		page := listRuns(t, ts, query)
-		if len(page.Runs) > 2 {
-			t.Fatalf("page of %d runs, want <= limit 2", len(page.Runs))
+		if len(walked) != len(ids) {
+			t.Fatalf("walked %d runs %v, want all %d", len(walked), walked, len(ids))
 		}
-		for _, v := range page.Runs {
-			walked = append(walked, v.ID)
+		for i, id := range walked {
+			if want := ids[len(ids)-1-i]; id != want {
+				t.Fatalf("position %d: got %s, want %s (newest first, no dupes)", i, id, want)
+			}
 		}
-		if page.NextCursor == "" {
-			break
-		}
-		query = "?limit=2&cursor=" + page.NextCursor
-	}
-	if len(walked) != len(ids) {
-		t.Fatalf("walked %d runs %v, want all %d", len(walked), walked, len(ids))
-	}
-	for i, id := range walked {
-		if want := ids[len(ids)-1-i]; id != want {
-			t.Fatalf("position %d: got %s, want %s (newest first, no dupes)", i, id, want)
-		}
-	}
 
-	// A huge limit returns everything in one cursorless page.
-	if page := listRuns(t, ts, "?limit=1000"); len(page.Runs) != 5 || page.NextCursor != "" {
-		t.Fatalf("limit=1000: %d runs, cursor %q", len(page.Runs), page.NextCursor)
-	}
+		// A huge limit returns everything in one cursorless page.
+		if page := listRuns(t, ts, "?limit=1000"); len(page.Runs) != 5 || page.NextCursor != "" {
+			t.Fatalf("limit=1000: %d runs, cursor %q", len(page.Runs), page.NextCursor)
+		}
+	})
 }
 
 // TestListRunsStateFilter: state= filters the page and composes with the
@@ -348,23 +348,25 @@ func TestListRunsStateFilter(t *testing.T) {
 // TestListBadQueryParams: invalid limit, cursor, or state answer 400 with
 // the invalid_request code.
 func TestListBadQueryParams(t *testing.T) {
-	ts, _ := newTestServer(t, runqueue.Config{Simulate: failFastSim})
-	for _, query := range []string{
-		"?limit=0", "?limit=-1", "?limit=abc",
-		"?cursor=%21%21not-base64%21%21", "?cursor=" + cursorOf("v2:run-000001"),
-		"?state=finished",
-	} {
-		for _, path := range []string{"/v1/runs", "/v1/sweeps"} {
-			resp := get(t, ts.URL+path+query)
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Errorf("GET %s%s: status %d, want 400", path, query, resp.StatusCode)
-				continue
-			}
-			if env := decodeEnvelope(t, resp); env.Code != CodeInvalidRequest {
-				t.Errorf("GET %s%s: code %q, want %s", path, query, env.Code, CodeInvalidRequest)
+	forEachBackend(t, func(t *testing.T, b ContractBackend) {
+		ts := b.Start(t, runqueue.Config{Simulate: failFastSim})
+		for _, query := range []string{
+			"?limit=0", "?limit=-1", "?limit=abc",
+			"?cursor=%21%21not-base64%21%21", "?cursor=" + cursorOf("v2:run-000001"),
+			"?state=finished",
+		} {
+			for _, path := range []string{"/v1/runs", "/v1/sweeps"} {
+				resp := get(t, ts.URL+path+query)
+				if resp.StatusCode != http.StatusBadRequest {
+					t.Errorf("GET %s%s: status %d, want 400", path, query, resp.StatusCode)
+					continue
+				}
+				if env := decodeEnvelope(t, resp); env.Code != wire.CodeInvalidRequest {
+					t.Errorf("GET %s%s: code %q, want %s", path, query, env.Code, wire.CodeInvalidRequest)
+				}
 			}
 		}
-	}
+	})
 }
 
 // cursorOf builds a cursor with an arbitrary payload (for version checks).
@@ -374,49 +376,86 @@ func cursorOf(payload string) string {
 
 // TestListSweepsPagination: the sweeps listing pages the same way.
 func TestListSweepsPagination(t *testing.T) {
-	ts, _ := newTestServer(t, runqueue.Config{Simulate: failFastSim})
-	sweepBody := `{"policies":["equip"],"mixes":["w1"],"seeds":[%d]}`
-	var ids []string
-	for i := 1; i <= 3; i++ {
-		resp := postRaw(t, ts.URL+"/v1/sweeps", fmt.Sprintf(sweepBody, i))
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("sweep submit %d: status %d", i, resp.StatusCode)
+	forEachBackend(t, func(t *testing.T, b ContractBackend) {
+		ts := b.Start(t, runqueue.Config{Simulate: failFastSim})
+		sweepBody := `{"policies":["equip"],"mixes":["w1"],"seeds":[%d]}`
+		var ids []string
+		for i := 1; i <= 3; i++ {
+			resp := postRaw(t, ts.URL+"/v1/sweeps", fmt.Sprintf(sweepBody, i))
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("sweep submit %d: status %d", i, resp.StatusCode)
+			}
+			var sr wire.SweepSubmitResult
+			if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, sr.ID)
 		}
-		var sr SweepSubmitResponse
-		if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, sr.ID)
-	}
 
-	var walked []string
-	query := "?limit=2"
-	for pages := 0; ; pages++ {
-		if pages > 2 {
-			t.Fatal("sweep pagination never terminated")
+		var walked []string
+		query := "?limit=2"
+		for pages := 0; ; pages++ {
+			if pages > 2 {
+				t.Fatal("sweep pagination never terminated")
+			}
+			resp := get(t, ts.URL+"/v1/sweeps"+query)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("GET /v1/sweeps%s: status %d", query, resp.StatusCode)
+			}
+			var page wire.SweepPage
+			if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range page.Sweeps {
+				walked = append(walked, v.ID)
+			}
+			if page.NextCursor == "" {
+				break
+			}
+			query = "?limit=2&cursor=" + page.NextCursor
 		}
-		resp := get(t, ts.URL+"/v1/sweeps"+query)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET /v1/sweeps%s: status %d", query, resp.StatusCode)
+		if len(walked) != 3 {
+			t.Fatalf("walked %d sweeps %v, want 3", len(walked), walked)
 		}
-		var page SweepListResponse
-		if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
-			t.Fatal(err)
+		for i, id := range walked {
+			if want := ids[len(ids)-1-i]; id != want {
+				t.Fatalf("position %d: got %s, want %s", i, id, want)
+			}
 		}
-		for _, v := range page.Sweeps {
-			walked = append(walked, v.ID)
-		}
-		if page.NextCursor == "" {
-			break
-		}
-		query = "?limit=2&cursor=" + page.NextCursor
-	}
-	if len(walked) != 3 {
-		t.Fatalf("walked %d sweeps %v, want 3", len(walked), walked)
-	}
-	for i, id := range walked {
-		if want := ids[len(ids)-1-i]; id != want {
-			t.Fatalf("position %d: got %s, want %s", i, id, want)
-		}
+	})
+}
+
+// ContractBackend is one backend the shared v1 contract tests run against,
+// so both implementations of server.Backend prove the same surface. The
+// fleet coordinator registers itself from fleet_contract_test.go: its
+// package imports this one, so only the external test package can build it.
+type ContractBackend struct {
+	Name string
+	// Start serves the v1 surface with runs executing on a pool built from
+	// cfg and returns the test server.
+	Start func(t *testing.T, cfg runqueue.Config) *httptest.Server
+	// NotFoundBody is the byte-exact 404 body for GET /v1/runs/run-999999.
+	NotFoundBody string
+	// AtomicSweeps: a sweep the queue cannot hold whole is refused whole
+	// (429), rather than placed member by member.
+	AtomicSweeps bool
+}
+
+// ContractBackends lists the backends forEachBackend runs; the standalone
+// pool is always first.
+var ContractBackends = []ContractBackend{{
+	Name: "pool",
+	Start: func(t *testing.T, cfg runqueue.Config) *httptest.Server {
+		ts, _ := newTestServer(t, cfg)
+		return ts
+	},
+	NotFoundBody: "{\n  \"error\": {\n    \"code\": \"not_found\",\n    \"message\": \"runqueue: no such run\"\n  }\n}\n",
+	AtomicSweeps: true,
+}}
+
+// forEachBackend runs fn as one subtest per contract backend.
+func forEachBackend(t *testing.T, fn func(t *testing.T, b ContractBackend)) {
+	for _, b := range ContractBackends {
+		t.Run(b.Name, func(t *testing.T) { fn(t, b) })
 	}
 }

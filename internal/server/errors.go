@@ -1,84 +1,58 @@
 package server
 
-// The unified v1 error envelope. Every non-2xx JSON response has the shape
-//
-//	{"error": {"code": "...", "message": "...", "retry_after_seconds": N}}
-//
-// where code is a stable machine-readable discriminator (the message is
-// free-form and may change between releases) and retry_after_seconds is
-// present exactly when the request is worth retrying after a pause — it
-// mirrors the Retry-After header on the same response.
-
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"strconv"
+	"time"
+
+	"pdpasim/internal/runqueue"
+	"pdpasim/internal/wire"
 )
 
-// Stable error codes, one per way a v1 request can fail.
-const (
-	// CodeInvalidRequest: the request was malformed — bad JSON, unknown
-	// fields, an invalid spec, or bad query parameters (400).
-	CodeInvalidRequest = "invalid_request"
-	// CodeNotFound: no run or sweep with that ID (404).
-	CodeNotFound = "not_found"
-	// CodePayloadTooLarge: the request body exceeded the submission size
-	// cap (413).
-	CodePayloadTooLarge = "payload_too_large"
-	// CodeOverloaded: the submission was shed by the admission controller's
-	// backlog estimate; retry_after_seconds carries its estimate (429).
-	CodeOverloaded = "overloaded"
-	// CodeQueueFull: the hard queue bound rejected the submission (429).
-	CodeQueueFull = "queue_full"
-	// CodeDraining: the daemon is shutting down and not accepting work (503).
-	CodeDraining = "draining"
-	// CodeUnavailable: an injected fault or other transient server-side
-	// condition failed the request (503).
-	CodeUnavailable = "unavailable"
-	// CodeInternal: a handler bug; the panic was recovered and counted (500).
-	CodeInternal = "internal"
-	// CodeIncompatibleRevision: a fleet node tried to register with a
-	// coordinator speaking a different API revision (400).
-	CodeIncompatibleRevision = "incompatible_revision"
-	// CodeNoHealthyNodes: the coordinator has no healthy node to place the
-	// run on — every node is cordoned, draining, unhealthy, or gone (503).
-	CodeNoHealthyNodes = "no_healthy_nodes"
-	// CodeNodeUnreachable: the node owning the requested resource did not
-	// answer the coordinator's proxied request (502).
-	CodeNodeUnreachable = "node_unreachable"
-)
-
-// ErrorBody is the envelope's payload.
-type ErrorBody struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-	// RetryAfterSeconds suggests a pause before retrying; 0 (omitted) means
-	// the error is not retryable-after-a-wait.
-	RetryAfterSeconds int `json:"retry_after_seconds,omitempty"`
-}
-
-// ErrorResponse is the wire form of every non-2xx JSON response.
-type ErrorResponse struct {
-	Error ErrorBody `json:"error"`
-}
-
-// WriteError answers with the error envelope. It is exported so sibling
-// packages serving v1-shaped endpoints (the fleet coordinator) emit the
-// exact same envelope as this package.
+// WriteError answers with the v1 error envelope (see internal/wire).
 func WriteError(w http.ResponseWriter, status int, code string, err error) {
-	WriteJSON(w, status, ErrorResponse{Error: ErrorBody{Code: code, Message: err.Error()}})
+	writeEnvelope(w, wire.Error{Status: status, Code: code, Message: err.Error()})
 }
 
 // WriteRetryError answers with the error envelope plus a retry hint, in
 // both the Retry-After header and the body.
 func WriteRetryError(w http.ResponseWriter, status int, code string, err error, retryAfterSeconds int) {
-	if retryAfterSeconds < 1 {
-		retryAfterSeconds = 1
+	writeEnvelope(w, wire.Error{Status: status, Code: code, Message: err.Error(),
+		RetryAfterSeconds: max(retryAfterSeconds, 1)})
+}
+
+func writeEnvelope(w http.ResponseWriter, e wire.Error) {
+	if e.RetryAfterSeconds > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(e.RetryAfterSeconds))
 	}
-	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-	WriteJSON(w, status, ErrorResponse{Error: ErrorBody{
-		Code: code, Message: err.Error(), RetryAfterSeconds: retryAfterSeconds,
-	}})
+	WriteJSON(w, e.Status, wire.ErrorResponse{Error: e})
+}
+
+// writeError maps a backend error onto the envelope. A *wire.Error — a
+// node's answer relayed by the coordinator, or a backend's own — passes
+// through as it is; the pool's sentinels map to their codes, with sheds
+// carrying the pool's backlog estimate as the retry hint; anything else is
+// a bad request.
+func writeError(w http.ResponseWriter, err error) {
+	var env *wire.Error
+	var overload *runqueue.OverloadError
+	switch {
+	case errors.As(err, &env):
+		writeEnvelope(w, *env)
+	case errors.As(err, &overload): // before ErrQueueFull: OverloadError matches both
+		WriteRetryError(w, http.StatusTooManyRequests, wire.CodeOverloaded, err,
+			int(overload.RetryAfter/time.Second))
+	case errors.Is(err, runqueue.ErrDraining):
+		WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, err)
+	case errors.Is(err, runqueue.ErrQueueFull):
+		WriteRetryError(w, http.StatusTooManyRequests, wire.CodeQueueFull, err, 1)
+	case errors.Is(err, runqueue.ErrNotFound):
+		WriteError(w, http.StatusNotFound, wire.CodeNotFound, err)
+	default:
+		WriteError(w, http.StatusBadRequest, wire.CodeInvalidRequest, err)
+	}
 }
 
 // WriteJSON writes v as indented JSON with the given status — the response

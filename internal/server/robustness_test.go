@@ -48,42 +48,46 @@ func postRaw(t *testing.T, url, body string) *http.Response {
 // TestMalformedRequestsRejected: broken submission payloads answer 400 with a
 // JSON error — never a 500, never a panic.
 func TestMalformedRequestsRejected(t *testing.T) {
-	ts, _ := newTestServer(t, runqueue.Config{Simulate: failFastSim})
-	cases := []struct {
-		name, body string
-	}{
-		{"empty", ""},
-		{"not json", "this is not json"},
-		{"truncated", `{"workload":{"mix":"w1","loa`},
-		{"unknown field", `{"workload":{"mix":"w1"},"options":{"policy":"pdpa"},"bogus":1}`},
-		{"wrong type", `{"workload":"w1"}`},
-		{"negative deadline", `{"workload":{"mix":"w1"},"options":{"policy":"pdpa"},"deadline_s":-1}`},
-		{"invalid spec", `{"workload":{"mix":"w9"},"options":{"policy":"pdpa"}}`},
-		{"array body", `[1,2,3]`},
-	}
-	for _, path := range []string{"/v1/runs", "/v1/sweeps"} {
-		for _, tc := range cases {
-			resp := postRaw(t, ts.URL+path, tc.body)
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Errorf("%s %s: status %d, want 400", path, tc.name, resp.StatusCode)
-			}
-			if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-				t.Errorf("%s %s: content type %q, want JSON error", path, tc.name, ct)
+	forEachBackend(t, func(t *testing.T, b ContractBackend) {
+		ts := b.Start(t, runqueue.Config{Simulate: failFastSim})
+		cases := []struct {
+			name, body string
+		}{
+			{"empty", ""},
+			{"not json", "this is not json"},
+			{"truncated", `{"workload":{"mix":"w1","loa`},
+			{"unknown field", `{"workload":{"mix":"w1"},"options":{"policy":"pdpa"},"bogus":1}`},
+			{"wrong type", `{"workload":"w1"}`},
+			{"negative deadline", `{"workload":{"mix":"w1"},"options":{"policy":"pdpa"},"deadline_s":-1}`},
+			{"invalid spec", `{"workload":{"mix":"w9"},"options":{"policy":"pdpa"}}`},
+			{"array body", `[1,2,3]`},
+		}
+		for _, path := range []string{"/v1/runs", "/v1/sweeps"} {
+			for _, tc := range cases {
+				resp := postRaw(t, ts.URL+path, tc.body)
+				if resp.StatusCode != http.StatusBadRequest {
+					t.Errorf("%s %s: status %d, want 400", path, tc.name, resp.StatusCode)
+				}
+				if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+					t.Errorf("%s %s: content type %q, want JSON error", path, tc.name, ct)
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestOversizedBodyRejected: payloads past the body cap answer 413.
 func TestOversizedBodyRejected(t *testing.T) {
-	ts, _ := newTestServer(t, runqueue.Config{Simulate: failFastSim})
-	huge := `{"workload":{"mix":"` + strings.Repeat("x", maxRequestBody) + `"}}`
-	for _, path := range []string{"/v1/runs", "/v1/sweeps"} {
-		resp := postRaw(t, ts.URL+path, huge)
-		if resp.StatusCode != http.StatusRequestEntityTooLarge {
-			t.Errorf("%s: status %d, want 413", path, resp.StatusCode)
+	forEachBackend(t, func(t *testing.T, b ContractBackend) {
+		ts := b.Start(t, runqueue.Config{Simulate: failFastSim})
+		huge := `{"workload":{"mix":"` + strings.Repeat("x", maxRequestBody) + `"}}`
+		for _, path := range []string{"/v1/runs", "/v1/sweeps"} {
+			resp := postRaw(t, ts.URL+path, huge)
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Errorf("%s: status %d, want 413", path, resp.StatusCode)
+			}
 		}
-	}
+	})
 }
 
 // TestInjectedHTTPPanicRecovered: a panic inside request handling answers 500,

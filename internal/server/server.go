@@ -1,5 +1,6 @@
-// Package server exposes the runqueue pool as a JSON-over-HTTP service —
-// the pdpad daemon's API surface. Endpoints:
+// Package server is the one implementation of the pdpad v1 HTTP surface,
+// served over a Backend: a runqueue pool for the standalone and node roles,
+// the fleet coordinator for the coordinator role. Endpoints:
 //
 //	POST   /v1/runs             submit a WorkloadSpec+Options payload
 //	GET    /v1/runs             list runs, newest first (limit=, cursor=, state=)
@@ -19,7 +20,8 @@
 // The list endpoints paginate with an opaque cursor: pass limit= (default
 // 100, capped at 1000) and follow the response's next_cursor until it is
 // absent; state= filters to one lifecycle state. Every non-2xx response
-// carries the unified error envelope documented in errors.go.
+// carries the unified error envelope (internal/wire); every JSON shape is
+// defined once in internal/wire.
 //
 // A sweep expands into member runs that share the pool's PDPA-style
 // admission, result cache, and singleflight index with individually
@@ -31,6 +33,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -40,16 +43,46 @@ import (
 	"pdpasim/internal/faults"
 	"pdpasim/internal/obs"
 	"pdpasim/internal/runqueue"
+	"pdpasim/internal/wire"
 )
 
 // maxRequestBody bounds submission payloads; larger bodies get 413. A full
 // sweep grid serializes well under a megabyte.
 const maxRequestBody = 1 << 20
 
-// Server routes HTTP traffic to a runqueue.Pool. Create with New; it
-// implements http.Handler.
+// Backend is what the v1 handlers serve: a *runqueue.Pool on a standalone
+// daemon or a fleet node, a *fleet.Coordinator on a coordinator. Methods
+// whose shapes the pool already had keep its signatures, context-free; the
+// run-view methods take the request's context and speak wire types,
+// because a coordinator relays its nodes' views verbatim. Errors that are a *wire.Error are answered as they are; the
+// pool's sentinel errors map to their envelope codes; anything else is a
+// 400.
+type Backend interface {
+	Submit(spec runqueue.Spec, deadline time.Duration) (runqueue.SubmitResult, error)
+	// RunView includes the result; RunViews (newest first) and CancelRun
+	// leave it out.
+	RunView(ctx context.Context, id string) (wire.RunView, error)
+	RunViews(ctx context.Context) []wire.RunView
+	CancelRun(ctx context.Context, id string) (wire.RunView, error)
+	// FollowRun streams the run's lifecycle to emit until the terminal
+	// state, emit returning false, or ctx ending. It emits nothing when it
+	// returns an error.
+	FollowRun(ctx context.Context, id string, emit func(wire.Event) bool) error
+	Trace(ctx context.Context, id string) ([]byte, error)
+
+	SubmitSweep(spec runqueue.SweepSpec, deadline time.Duration) (runqueue.SweepSubmitResult, error)
+	GetSweep(id string) (runqueue.SweepStatus, error)
+	Sweeps() []runqueue.SweepStatus
+	CancelSweep(id string) (runqueue.SweepStatus, error)
+
+	Health() wire.Health
+	Metrics() *obs.Registry
+}
+
+// Server routes HTTP traffic to a Backend. Create with New; it implements
+// http.Handler.
 type Server struct {
-	pool    *runqueue.Pool
+	b       Backend
 	mux     *http.ServeMux
 	started time.Time
 	role    string
@@ -67,14 +100,14 @@ func WithFaults(inj *faults.Injector) Option {
 	return func(s *Server) { s.faults = inj }
 }
 
-// New returns a server backed by pool.
-func New(pool *runqueue.Pool, opts ...Option) *Server {
-	s := &Server{pool: pool, mux: http.NewServeMux(), started: time.Now(), role: RoleStandalone}
+// New returns a server for b.
+func New(b Backend, opts ...Option) *Server {
+	s := &Server{b: b, mux: http.NewServeMux(), started: time.Now(), role: RoleStandalone}
 	for _, o := range opts {
 		o(s)
 	}
 	// The "http" series of the family whose "worker" series the pool owns.
-	s.recovered = pool.Metrics().LabeledCounter("pdpad_recovered_panics_total",
+	s.recovered = b.Metrics().LabeledCounter("pdpad_recovered_panics_total",
 		"Panics recovered without taking the daemon down, by origin.", "where", "http")
 	s.mux.HandleFunc("POST /v1/runs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/runs", s.handleList)
@@ -93,6 +126,11 @@ func New(pool *runqueue.Pool, opts ...Option) *Server {
 	return s
 }
 
+// HandleFunc mounts an extra route behind the same panic recovery and fault
+// injection as the v1 routes; the fleet coordinator adds its node plane
+// this way.
+func (s *Server) HandleFunc(pattern string, h http.HandlerFunc) { s.mux.HandleFunc(pattern, h) }
+
 // ServeHTTP implements http.Handler. Every request passes through panic
 // recovery — a handler bug answers 500 and increments the recovered-panics
 // counter instead of killing the daemon — and, when a fault injector is
@@ -109,138 +147,64 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.recovered.Inc()
 		// Best-effort: if the handler already wrote a header this fails
 		// silently, but the connection still closes with a broken response.
-		WriteError(w, http.StatusInternalServerError, CodeInternal, fmt.Errorf("internal error: %v", rec))
+		WriteError(w, http.StatusInternalServerError, wire.CodeInternal, fmt.Errorf("internal error: %v", rec))
 	}()
 	if err := s.faults.Hit(r.Context(), faults.SiteHTTPRequest); err != nil {
-		WriteError(w, http.StatusServiceUnavailable, CodeUnavailable, fmt.Errorf("injected fault: %w", err))
+		WriteError(w, http.StatusServiceUnavailable, wire.CodeUnavailable, fmt.Errorf("injected fault: %w", err))
 		return
 	}
 	s.mux.ServeHTTP(w, r)
 }
 
-// submitError maps a pool submission error to an HTTP response. Overload
-// sheds carry the pool's backlog estimate as a retry hint (header and
-// envelope body); plain queue-full rejections suggest retrying in a second.
-func (s *Server) submitError(w http.ResponseWriter, err error) {
-	var overload *runqueue.OverloadError
-	switch {
-	case errors.As(err, &overload): // before ErrQueueFull: OverloadError matches both
-		WriteRetryError(w, http.StatusTooManyRequests, CodeOverloaded, err,
-			int(overload.RetryAfter/time.Second))
-	case errors.Is(err, runqueue.ErrDraining):
-		WriteError(w, http.StatusServiceUnavailable, CodeDraining, err)
-	case errors.Is(err, runqueue.ErrQueueFull):
-		WriteRetryError(w, http.StatusTooManyRequests, CodeQueueFull, err, 1)
-	default:
-		WriteError(w, http.StatusBadRequest, CodeInvalidRequest, err)
-	}
-}
-
-// decodeBody decodes a JSON request body into v, capped at maxRequestBody.
-// The error it writes distinguishes oversized payloads (413) from malformed
-// ones (400).
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+// DecodeBody decodes a JSON request body into v, capped at maxRequestBody
+// with unknown fields rejected. The error it writes distinguishes oversized
+// payloads (413) from malformed ones (400).
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			WriteError(w, http.StatusRequestEntityTooLarge, CodePayloadTooLarge,
+			WriteError(w, http.StatusRequestEntityTooLarge, wire.CodePayloadTooLarge,
 				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
 			return false
 		}
-		WriteError(w, http.StatusBadRequest, CodeInvalidRequest, fmt.Errorf("decoding request: %w", err))
+		WriteError(w, http.StatusBadRequest, wire.CodeInvalidRequest, fmt.Errorf("decoding request: %w", err))
 		return false
 	}
 	return true
 }
 
-// SubmitRequest is the POST /v1/runs payload: the spec plus an optional
-// per-run deadline in seconds (queue wait included).
-type SubmitRequest struct {
-	Workload runqueue.WorkloadSpec `json:"workload"`
-	Options  runqueue.RunOptions   `json:"options"`
-	// DeadlineS bounds the run's total latency in seconds; 0 uses the
-	// pool's default.
-	DeadlineS float64 `json:"deadline_s,omitempty"`
-}
-
-// SubmitResponse reports how the submission was resolved.
-type SubmitResponse struct {
-	ID    string `json:"id"`
-	State string `json:"state"`
-	// CacheHit: an identical spec had already completed; fetch the result
-	// immediately from GET /v1/runs/{id}.
-	CacheHit bool `json:"cache_hit,omitempty"`
-	// Deduped: an identical spec was already queued or running; this
-	// submission joined it.
-	Deduped bool `json:"deduped,omitempty"`
-}
-
-// RunView is the wire form of a run's status.
-type RunView struct {
-	ID          string          `json:"id"`
-	State       string          `json:"state"`
-	Error       string          `json:"error,omitempty"`
-	SubmittedAt time.Time       `json:"submitted_at"`
-	StartedAt   *time.Time      `json:"started_at,omitempty"`
-	FinishedAt  *time.Time      `json:"finished_at,omitempty"`
-	WallSeconds float64         `json:"wall_seconds,omitempty"`
-	CacheKey    string          `json:"cache_key"`
-	Spec        runqueue.Spec   `json:"spec"`
-	Result      json.RawMessage `json:"result,omitempty"`
-}
-
-func viewOf(snap runqueue.Snapshot, includeResult bool) RunView {
-	v := RunView{
-		ID:          snap.ID,
-		State:       string(snap.State),
-		SubmittedAt: snap.Submitted,
-		CacheKey:    snap.Key,
-		Spec:        snap.Spec,
+// deadlineOf validates and converts a request's deadline_s, answering 400
+// for a negative one.
+func deadlineOf(w http.ResponseWriter, seconds float64) (time.Duration, bool) {
+	if seconds < 0 {
+		WriteError(w, http.StatusBadRequest, wire.CodeInvalidRequest, fmt.Errorf("negative deadline_s %v", seconds))
+		return 0, false
 	}
-	if snap.Err != nil {
-		v.Error = snap.Err.Error()
-	}
-	if !snap.Started.IsZero() {
-		t := snap.Started
-		v.StartedAt = &t
-	}
-	if !snap.Finished.IsZero() {
-		t := snap.Finished
-		v.FinishedAt = &t
-		if !snap.Started.IsZero() {
-			v.WallSeconds = snap.Finished.Sub(snap.Started).Seconds()
-		}
-	}
-	if includeResult {
-		v.Result = snap.ResultJSON
-	}
-	return v
+	return time.Duration(seconds * float64(time.Second)), true
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req SubmitRequest
-	if !decodeBody(w, r, &req) {
+	var req wire.SubmitRunRequest
+	if !DecodeBody(w, r, &req) {
 		return
 	}
-	if req.DeadlineS < 0 {
-		WriteError(w, http.StatusBadRequest, CodeInvalidRequest, fmt.Errorf("negative deadline_s %v", req.DeadlineS))
+	deadline, ok := deadlineOf(w, req.DeadlineS)
+	if !ok {
 		return
 	}
-	spec := runqueue.Spec{Workload: req.Workload, Options: req.Options}
-	deadline := time.Duration(req.DeadlineS * float64(time.Second))
-	res, err := s.pool.Submit(spec, deadline)
+	res, err := s.b.Submit(runqueue.Spec{Workload: req.Workload, Options: req.Options}, deadline)
 	if err != nil {
-		s.submitError(w, err)
+		writeError(w, err)
 		return
 	}
 	status := http.StatusAccepted
 	if res.CacheHit {
 		status = http.StatusOK
 	}
-	WriteJSON(w, status, SubmitResponse{
+	WriteJSON(w, status, wire.SubmitResult{
 		ID:       res.ID,
 		State:    string(res.State),
 		CacheHit: res.CacheHit,
@@ -248,46 +212,34 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// RunListResponse is one page of GET /v1/runs, newest first. NextCursor,
-// when present, fetches the next page via ?cursor=; its absence marks the
-// last page.
-type RunListResponse struct {
-	Runs       []RunView `json:"runs"`
-	NextCursor string    `json:"next_cursor,omitempty"`
-}
-
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	p, err := parsePageParams(r)
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, CodeInvalidRequest, err)
+		WriteError(w, http.StatusBadRequest, wire.CodeInvalidRequest, err)
 		return
 	}
-	page, next := Paginate(s.pool.Runs(), p,
-		func(snap runqueue.Snapshot) string { return snap.ID },
-		func(snap runqueue.Snapshot) bool { return p.State == "" || string(snap.State) == p.State })
-	views := make([]RunView, len(page))
-	for i, snap := range page {
-		views[i] = viewOf(snap, false)
-	}
-	WriteJSON(w, http.StatusOK, RunListResponse{Runs: views, NextCursor: next})
+	page, next := Paginate(s.b.RunViews(r.Context()), p,
+		func(v wire.RunView) string { return v.ID },
+		func(v wire.RunView) bool { return p.State == "" || v.State == p.State })
+	WriteJSON(w, http.StatusOK, wire.RunPage{Runs: page, NextCursor: next})
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	snap, err := s.pool.Get(r.PathValue("id"))
+	v, err := s.b.RunView(r.Context(), r.PathValue("id"))
 	if err != nil {
-		WriteError(w, http.StatusNotFound, CodeNotFound, err)
+		writeError(w, err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, viewOf(snap, true))
+	WriteJSON(w, http.StatusOK, v)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	snap, err := s.pool.Cancel(r.PathValue("id"))
+	v, err := s.b.CancelRun(r.Context(), r.PathValue("id"))
 	if err != nil {
-		WriteError(w, http.StatusNotFound, CodeNotFound, err)
+		writeError(w, err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, viewOf(snap, false))
+	WriteJSON(w, http.StatusOK, v)
 }
 
 // handleEvents streams the run's lifecycle as server-sent events: one
@@ -295,176 +247,103 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		WriteError(w, http.StatusInternalServerError, CodeInternal, errors.New("streaming unsupported"))
+		WriteError(w, http.StatusInternalServerError, wire.CodeInternal, errors.New("streaming unsupported"))
 		return
 	}
-	id := r.PathValue("id")
-	events, unsub, err := s.pool.Subscribe(id)
-	if err != nil {
-		WriteError(w, http.StatusNotFound, CodeNotFound, err)
-		return
-	}
-	defer unsub()
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-
-	emit := func(ev runqueue.Event) bool {
+	streaming := false
+	err := s.b.FollowRun(r.Context(), r.PathValue("id"), func(ev wire.Event) bool {
+		if !streaming {
+			streaming = true
+			w.Header().Set("Content-Type", "text/event-stream")
+			w.Header().Set("Cache-Control", "no-cache")
+			w.WriteHeader(http.StatusOK)
+		}
 		data, err := json.Marshal(ev)
 		if err != nil {
 			return false
 		}
 		fmt.Fprintf(w, "event: state\ndata: %s\n\n", data)
 		flusher.Flush()
-		return !ev.State.Terminal()
-	}
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case ev, ok := <-events:
-			if !ok {
-				// Channel closed: make sure the client saw the terminal
-				// state even if an intermediate send was dropped.
-				if snap, err := s.pool.Get(id); err == nil && snap.State.Terminal() {
-					msg := ""
-					if snap.Err != nil {
-						msg = snap.Err.Error()
-					}
-					emit(runqueue.Event{RunID: id, State: snap.State, At: snap.Finished, Message: msg})
-				}
-				return
-			}
-			if !emit(ev) {
-				return
-			}
-		}
+		return !wire.Terminal(ev.State)
+	})
+	if err != nil && !streaming {
+		writeError(w, err)
 	}
 }
 
 // handleTrace serves the run's recorded decision trace: the ordered event
 // stream explaining every scheduling decision ({"events": [...], "dropped":
-// n}, the pdpasim.DecisionTrace JSON schema). Available once the run is
-// done, unless the pool was configured with tracing disabled.
+// n}, the pdpasim.DecisionTrace JSON schema).
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	snap, err := s.pool.Get(r.PathValue("id"))
+	raw, err := s.b.Trace(r.Context(), r.PathValue("id"))
 	if err != nil {
-		WriteError(w, http.StatusNotFound, CodeNotFound, err)
-		return
-	}
-	if len(snap.TraceJSON) == 0 {
-		WriteError(w, http.StatusNotFound, CodeNotFound,
-			fmt.Errorf("run %s has no decision trace (state %s; tracing may be disabled)", snap.ID, snap.State))
+		writeError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	w.Write(snap.TraceJSON)
+	w.Write(raw)
 }
 
-// ReconcileRequest is the POST /v1/runs/reconcile payload: the run IDs a
-// restarted coordinator believes this node owns and needs authoritative
-// states for.
-type ReconcileRequest struct {
-	IDs []string `json:"ids"`
-}
-
-// ReconcileResponse answers a reconcile probe: a full view (result
-// included) for every asked-about run this pool has a record of, and the
-// IDs it knows nothing about — which the coordinator requeues elsewhere.
-type ReconcileResponse struct {
-	Runs    []RunView `json:"runs,omitempty"`
-	Missing []string  `json:"missing,omitempty"`
-}
-
-// handleReconcile bulk-reports run states for a recovering coordinator.
-// The node is the authority: a run it finished while the coordinator was
-// down comes back terminal with its exact result bytes, which is what
-// keeps resumed fleet sweeps byte-identical.
+// handleReconcile bulk-reports run states for a recovering coordinator: a
+// full view (result included) for every asked-about run the backend has a
+// record of, and the IDs it knows nothing about — which the coordinator
+// requeues elsewhere. The node is the authority: a run it finished while
+// the coordinator was down comes back terminal with its exact result
+// bytes, which is what keeps resumed fleet sweeps byte-identical.
 func (s *Server) handleReconcile(w http.ResponseWriter, r *http.Request) {
-	var req ReconcileRequest
-	if !decodeBody(w, r, &req) {
+	var req wire.ReconcileRequest
+	if !DecodeBody(w, r, &req) {
 		return
 	}
-	var resp ReconcileResponse
+	var resp wire.ReconcileResult
 	for _, id := range req.IDs {
-		snap, err := s.pool.Get(id)
+		v, err := s.b.RunView(r.Context(), id)
 		if err != nil {
 			resp.Missing = append(resp.Missing, id)
 			continue
 		}
-		resp.Runs = append(resp.Runs, viewOf(snap, true))
+		resp.Runs = append(resp.Runs, v)
 	}
 	WriteJSON(w, http.StatusOK, resp)
 }
 
-// SweepSubmitRequest is the POST /v1/sweeps payload: the grid plus an
-// optional per-member deadline in seconds.
-type SweepSubmitRequest struct {
-	runqueue.SweepSpec
-	// DeadlineS bounds each member run's total latency in seconds; 0 uses
-	// the pool's default.
-	DeadlineS float64 `json:"deadline_s,omitempty"`
-}
-
-// SweepSubmitResponse reports how the sweep was resolved.
-type SweepSubmitResponse struct {
-	ID     string   `json:"id"`
-	RunIDs []string `json:"run_ids"`
-	// CacheHits and Deduped count members served from the result cache or
-	// joined to in-flight identical runs instead of re-simulated.
-	CacheHits int `json:"cache_hits,omitempty"`
-	Deduped   int `json:"deduped,omitempty"`
-}
-
-// SweepView is the wire form of a sweep's status.
-type SweepView struct {
-	ID          string             `json:"id"`
-	State       string             `json:"state"`
-	Done        int                `json:"done"`
-	Total       int                `json:"total"`
-	SubmittedAt time.Time          `json:"submitted_at"`
-	Spec        runqueue.SweepSpec `json:"spec"`
-	RunIDs      []string           `json:"run_ids,omitempty"`
-	Errors      []string           `json:"errors,omitempty"`
-	// Cells holds per-cell aggregates (mean/stddev/95% CI over seed
-	// replicates) once every member is done.
-	Cells []runqueue.SweepCell `json:"cells,omitempty"`
-}
-
-func sweepViewOf(st runqueue.SweepStatus, includeDetail bool) SweepView {
-	v := SweepView{
+// sweepView renders a sweep status; the member IDs and the per-cell
+// aggregates ride along only with includeDetail.
+func sweepView(st runqueue.SweepStatus, includeDetail bool) wire.SweepView {
+	v := wire.SweepView{
 		ID:          st.ID,
 		State:       string(st.State),
 		Done:        st.Done,
 		Total:       st.Total,
 		SubmittedAt: st.Submitted,
-		Spec:        st.Spec,
+		Spec:        wire.SweepSpec(st.Spec),
 		Errors:      st.Errors,
 	}
 	if includeDetail {
 		v.RunIDs = st.RunIDs
-		v.Cells = st.Cells
+		if len(st.Cells) > 0 {
+			v.Cells, _ = json.Marshal(st.Cells)
+		}
 	}
 	return v
 }
 
 func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepSubmitRequest
-	if !decodeBody(w, r, &req) {
+	var req wire.SubmitSweepRequest
+	if !DecodeBody(w, r, &req) {
 		return
 	}
-	if req.DeadlineS < 0 {
-		WriteError(w, http.StatusBadRequest, CodeInvalidRequest, fmt.Errorf("negative deadline_s %v", req.DeadlineS))
+	deadline, ok := deadlineOf(w, req.DeadlineS)
+	if !ok {
 		return
 	}
-	res, err := s.pool.SubmitSweep(req.SweepSpec, time.Duration(req.DeadlineS*float64(time.Second)))
+	res, err := s.b.SubmitSweep(runqueue.SweepSpec(req.SweepSpec), deadline)
 	if err != nil {
-		s.submitError(w, err)
+		writeError(w, err)
 		return
 	}
-	WriteJSON(w, http.StatusAccepted, SweepSubmitResponse{
+	WriteJSON(w, http.StatusAccepted, wire.SweepSubmitResult{
 		ID:        res.ID,
 		RunIDs:    res.RunIDs,
 		CacheHits: res.CacheHits,
@@ -472,56 +351,53 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// SweepListResponse is one page of GET /v1/sweeps, newest first.
-type SweepListResponse struct {
-	Sweeps     []SweepView `json:"sweeps"`
-	NextCursor string      `json:"next_cursor,omitempty"`
-}
-
 func (s *Server) handleListSweeps(w http.ResponseWriter, r *http.Request) {
 	p, err := parsePageParams(r)
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, CodeInvalidRequest, err)
+		WriteError(w, http.StatusBadRequest, wire.CodeInvalidRequest, err)
 		return
 	}
-	page, next := Paginate(s.pool.Sweeps(), p,
+	page, next := Paginate(s.b.Sweeps(), p,
 		func(st runqueue.SweepStatus) string { return st.ID },
 		func(st runqueue.SweepStatus) bool { return p.State == "" || string(st.State) == p.State })
-	views := make([]SweepView, len(page))
+	views := make([]wire.SweepView, len(page))
 	for i, st := range page {
-		views[i] = sweepViewOf(st, false)
+		views[i] = sweepView(st, false)
 	}
-	WriteJSON(w, http.StatusOK, SweepListResponse{Sweeps: views, NextCursor: next})
+	WriteJSON(w, http.StatusOK, wire.SweepPage{Sweeps: views, NextCursor: next})
 }
 
 func (s *Server) handleGetSweep(w http.ResponseWriter, r *http.Request) {
-	st, err := s.pool.GetSweep(r.PathValue("id"))
+	st, err := s.b.GetSweep(r.PathValue("id"))
 	if err != nil {
-		WriteError(w, http.StatusNotFound, CodeNotFound, err)
+		writeError(w, err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, sweepViewOf(st, true))
+	WriteJSON(w, http.StatusOK, sweepView(st, true))
 }
 
 func (s *Server) handleCancelSweep(w http.ResponseWriter, r *http.Request) {
-	st, err := s.pool.CancelSweep(r.PathValue("id"))
+	st, err := s.b.CancelSweep(r.PathValue("id"))
 	if err != nil {
-		WriteError(w, http.StatusNotFound, CodeNotFound, err)
+		writeError(w, err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, sweepViewOf(st, false))
+	WriteJSON(w, http.StatusOK, sweepView(st, false))
 }
 
+// handleHealth answers the liveness probe. The body is a map so its keys
+// render sorted; the coordinator role adds the node counts.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	st := s.pool.Stats()
-	status := "ok"
-	if st.Draining {
-		status = "draining"
-	}
-	WriteJSON(w, http.StatusOK, map[string]any{
-		"status":   status,
+	h := s.b.Health()
+	body := map[string]any{
+		"status":   h.Status,
 		"uptime_s": time.Since(s.started).Seconds(),
-		"queue":    st.QueueDepth,
-		"inflight": st.Inflight,
-	})
+		"queue":    h.Queue,
+		"inflight": h.Inflight,
+	}
+	if s.role == RoleCoordinator {
+		body["nodes"] = h.Nodes
+		body["healthy"] = h.Healthy
+	}
+	WriteJSON(w, http.StatusOK, body)
 }

@@ -16,6 +16,7 @@ import (
 
 	"pdpasim"
 	"pdpasim/internal/runqueue"
+	"pdpasim/internal/wire"
 )
 
 func newTestServer(t *testing.T, cfg runqueue.Config) (*httptest.Server, *runqueue.Pool) {
@@ -31,14 +32,14 @@ func submitBody(mix string, seed int64, policy string) string {
 		mix, seed, policy)
 }
 
-func postRun(t *testing.T, ts *httptest.Server, body string) (SubmitResponse, int) {
+func postRun(t *testing.T, ts *httptest.Server, body string) (wire.SubmitResult, int) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var sr SubmitResponse
+	var sr wire.SubmitResult
 	if resp.StatusCode/100 == 2 {
 		if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 			t.Fatal(err)
@@ -47,7 +48,7 @@ func postRun(t *testing.T, ts *httptest.Server, body string) (SubmitResponse, in
 	return sr, resp.StatusCode
 }
 
-func getRun(t *testing.T, ts *httptest.Server, id string) RunView {
+func getRun(t *testing.T, ts *httptest.Server, id string) wire.RunView {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/runs/" + id)
 	if err != nil {
@@ -57,14 +58,14 @@ func getRun(t *testing.T, ts *httptest.Server, id string) RunView {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET run %s: status %d", id, resp.StatusCode)
 	}
-	var v RunView
+	var v wire.RunView
 	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
 		t.Fatal(err)
 	}
 	return v
 }
 
-func waitRunState(t *testing.T, ts *httptest.Server, id, want string) RunView {
+func waitRunState(t *testing.T, ts *httptest.Server, id, want string) wire.RunView {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
@@ -78,7 +79,7 @@ func waitRunState(t *testing.T, ts *httptest.Server, id, want string) RunView {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("run %s never reached %s", id, want)
-	return RunView{}
+	return wire.RunView{}
 }
 
 // TestSubmitStatusResult drives a real simulation through the full HTTP
@@ -206,42 +207,44 @@ func TestDeleteCancelsRunningSimulation(t *testing.T) {
 // TestSSEStreamsLifecycle: the events endpoint streams queued/running/done
 // transitions and terminates after the terminal event.
 func TestSSEStreamsLifecycle(t *testing.T) {
-	ts, _ := newTestServer(t, runqueue.Config{})
-	sr, _ := postRun(t, ts, submitBody("w1", 21, "equip"))
-	resp, err := http.Get(ts.URL + "/v1/runs/" + sr.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("content type %q", ct)
-	}
-	var states []string
-	scanner := bufio.NewScanner(resp.Body)
-	for scanner.Scan() {
-		line := scanner.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue
+	forEachBackend(t, func(t *testing.T, b ContractBackend) {
+		ts := b.Start(t, runqueue.Config{})
+		sr, _ := postRun(t, ts, submitBody("w1", 21, "equip"))
+		resp, err := http.Get(ts.URL + "/v1/runs/" + sr.ID + "/events")
+		if err != nil {
+			t.Fatal(err)
 		}
-		var ev runqueue.Event
-		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
-			t.Fatalf("bad event %q: %v", line, err)
+		defer resp.Body.Close()
+		if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+			t.Fatalf("content type %q", ct)
 		}
-		states = append(states, string(ev.State))
-	}
-	if len(states) == 0 || states[len(states)-1] != "done" {
-		t.Fatalf("streamed states %v, want trailing done", states)
-	}
-	// The stream must include the terminal transition exactly once.
-	count := 0
-	for _, s := range states {
-		if s == "done" {
-			count++
+		var states []string
+		scanner := bufio.NewScanner(resp.Body)
+		for scanner.Scan() {
+			line := scanner.Text()
+			if !strings.HasPrefix(line, "data: ") {
+				continue
+			}
+			var ev wire.Event
+			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
+				t.Fatalf("bad event %q: %v", line, err)
+			}
+			states = append(states, string(ev.State))
 		}
-	}
-	if count != 1 {
-		t.Fatalf("terminal state streamed %d times: %v", count, states)
-	}
+		if len(states) == 0 || states[len(states)-1] != "done" {
+			t.Fatalf("streamed states %v, want trailing done", states)
+		}
+		// The stream must include the terminal transition exactly once.
+		count := 0
+		for _, s := range states {
+			if s == "done" {
+				count++
+			}
+		}
+		if count != 1 {
+			t.Fatalf("terminal state streamed %d times: %v", count, states)
+		}
+	})
 }
 
 // TestTraceEndpoint: a done run serves its recorded decision trace with
@@ -465,27 +468,29 @@ func TestGracefulDrainCompletesInflight(t *testing.T) {
 // TestValidationErrors: bad payloads are rejected through the shared
 // validation path with 400s, and unknown runs 404.
 func TestValidationErrors(t *testing.T) {
-	ts, _ := newTestServer(t, runqueue.Config{})
-	for _, body := range []string{
-		`{not json`,
-		`{"workload":{"mix":"w9"},"options":{"policy":"pdpa"}}`,
-		`{"workload":{"mix":"w1"},"options":{"policy":"bogus"}}`,
-		`{"workload":{"mix":"w1","load":-2},"options":{"policy":"pdpa"}}`,
-		`{"workload":{"mix":"w1"},"options":{"policy":"pdpa"},"deadline_s":-1}`,
-		`{"workload":{"mix":"w1"},"options":{"policy":"pdpa"},"surprise":true}`,
-	} {
-		if _, status := postRun(t, ts, body); status != http.StatusBadRequest {
-			t.Errorf("payload %q: status %d, want 400", body, status)
+	forEachBackend(t, func(t *testing.T, b ContractBackend) {
+		ts := b.Start(t, runqueue.Config{})
+		for _, body := range []string{
+			`{not json`,
+			`{"workload":{"mix":"w9"},"options":{"policy":"pdpa"}}`,
+			`{"workload":{"mix":"w1"},"options":{"policy":"bogus"}}`,
+			`{"workload":{"mix":"w1","load":-2},"options":{"policy":"pdpa"}}`,
+			`{"workload":{"mix":"w1"},"options":{"policy":"pdpa"},"deadline_s":-1}`,
+			`{"workload":{"mix":"w1"},"options":{"policy":"pdpa"},"surprise":true}`,
+		} {
+			if _, status := postRun(t, ts, body); status != http.StatusBadRequest {
+				t.Errorf("payload %q: status %d, want 400", body, status)
+			}
 		}
-	}
-	resp, err := http.Get(ts.URL + "/v1/runs/run-999999")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown run status %d, want 404", resp.StatusCode)
-	}
+		resp, err := http.Get(ts.URL + "/v1/runs/run-999999")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("unknown run status %d, want 404", resp.StatusCode)
+		}
+	})
 }
 
 // TestListRuns: the listing endpoint returns known runs newest-first.
@@ -502,7 +507,7 @@ func TestListRuns(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var list struct {
-		Runs []RunView `json:"runs"`
+		Runs []wire.RunView `json:"runs"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
 		t.Fatal(err)

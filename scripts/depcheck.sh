@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Removed-API gate. The v1 cleanup deleted the deprecated facade symbols —
+# Removed-API and one-surface gate. The v1 cleanup deleted the deprecated facade symbols —
 # Run and RunSWF (use RunContext/RunSWFContext) and SweepSpec.Progress /
 # SweepProgress (use SweepSpec.Observer). This check keeps them deleted:
 # no definition may reintroduce them, and no new `Deprecated:` marker may
@@ -38,7 +38,18 @@ if [[ -n "$hits" ]]; then
     fail=1
 fi
 
+# One v1 surface: internal/server is the only implementation of the run and
+# sweep routes, for every role (the fleet coordinator is a server.Backend).
+# A /v1/runs or /v1/sweeps route pattern registered anywhere else is a
+# second surface growing back.
+hits=$(grep -rn --include='*.go' -E 'Handle(Func)?\("([A-Z]+ )?/v1/(runs|sweeps)' . | grep -v '^\./internal/server/' || true)
+if [[ -n "$hits" ]]; then
+    echo "depcheck: /v1/runs or /v1/sweeps routes registered outside internal/server (serve them through a server.Backend):" >&2
+    echo "$hits" >&2
+    fail=1
+fi
+
 if [[ "$fail" -ne 0 ]]; then
     exit 1
 fi
-echo "depcheck: removed APIs stayed removed, no stray deprecation markers"
+echo "depcheck: removed APIs stayed removed, no stray deprecation markers, one v1 surface"
