@@ -35,30 +35,24 @@ type fcfsGreedy struct{}
 
 func (fcfsGreedy) Name() string                                                     { return "FCFS-greedy" }
 func (fcfsGreedy) JobStarted(now sim.Time, job *sched.JobView)                      {}
-func (fcfsGreedy) JobFinished(now sim.Time, id sched.JobID)                         {}
+func (fcfsGreedy) JobFinished(now sim.Time, job *sched.JobView)                     {}
 func (fcfsGreedy) ReportPerformance(now sim.Time, j *sched.JobView, r sched.Report) {}
 
-func (fcfsGreedy) Plan(v sched.View) map[sched.JobID]int {
-	plan := make(map[sched.JobID]int, len(v.Jobs))
+// Plan writes each job's wanted allocation into its view in place; a job
+// left at sched.Keep would keep its current allocation.
+func (fcfsGreedy) Plan(v *sched.View) {
 	remaining := v.NCPU
 	for _, j := range v.Jobs { // sorted by arrival (ID)
-		grant := j.Request
-		if grant > remaining {
-			grant = remaining
-		}
+		grant := min(j.Request, remaining)
 		if grant < 1 && remaining > 0 {
 			grant = 1
 		}
-		plan[j.ID] = grant
-		remaining -= grant
-		if remaining < 0 {
-			remaining = 0
-		}
+		j.Want = grant
+		remaining = max(remaining-grant, 0)
 	}
-	return plan
 }
 
-func (fcfsGreedy) WantsNewJob(v sched.View) bool { return true }
+func (fcfsGreedy) WantsNewJob(v *sched.View) bool { return true }
 
 // runWith executes a workload under any sched.Policy and returns average
 // response time per class — the same wiring internal/system uses. fixedMPL

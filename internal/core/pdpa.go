@@ -108,6 +108,9 @@ func (p Params) Validate() error {
 // last processor allocations different from the current one and the
 // efficiency achieved with them").
 type jobState struct {
+	// live marks a slot holding a started, unfinished job; id is that job.
+	live  bool
+	id    sched.JobID
 	state State
 	// desired is the allocation PDPA currently wants for the job (-1 until
 	// the initial allocation is computed in Plan).
@@ -150,21 +153,17 @@ type Transition struct {
 // PDPA implements sched.Policy. Create with New.
 type PDPA struct {
 	params Params
-	jobs   map[sched.JobID]*jobState
-	epoch  int
+	// jobs is the per-job state, indexed by sched.JobView.Slot.
+	jobs  []jobState
+	epoch int
 	// transitions counts state transitions, for diagnostics and tests.
 	transitions int
 	// history records transitions when enabled (see RecordHistory).
 	history       []Transition
 	recordHistory bool
-	// plan is the map returned by Plan, reused across calls; the manager
-	// consumes it before the next replan.
-	plan map[sched.JobID]int
 	// tr, when non-nil, receives decision-trace events: every state
 	// transition and every admission decision with its reason.
 	tr *obs.Trace
-	// free recycles jobState structs across jobs (and, via Reset, runs).
-	free []*jobState
 }
 
 // SetTrace attaches a decision-trace recorder (nil detaches). Every state
@@ -183,7 +182,7 @@ func New(params Params) (*PDPA, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	return &PDPA{params: params, jobs: make(map[sched.JobID]*jobState)}, nil
+	return &PDPA{params: params}, nil
 }
 
 // MustNew is New that panics on error.
@@ -214,10 +213,20 @@ func (p *PDPA) SetParams(params Params) error {
 
 // StateOf returns the PDPA state of a running job (NoRef for unknown jobs).
 func (p *PDPA) StateOf(id sched.JobID) State {
-	if s, ok := p.jobs[id]; ok {
-		return s.state
+	for _, s := range p.jobs {
+		if s.live && s.id == id {
+			return s.state
+		}
 	}
 	return NoRef
+}
+
+// lookup returns the state of a started, unfinished job, or nil.
+func (p *PDPA) lookup(job *sched.JobView) *jobState {
+	if job.Slot < len(p.jobs) && p.jobs[job.Slot].live {
+		return &p.jobs[job.Slot]
+	}
+	return nil
 }
 
 // Transitions returns how many state transitions the policy has performed.
@@ -225,47 +234,30 @@ func (p *PDPA) Transitions() int { return p.transitions }
 
 // JobStarted implements sched.Policy: the application enters NO_REF.
 func (p *PDPA) JobStarted(now sim.Time, job *sched.JobView) {
-	var s *jobState
-	if n := len(p.free); n > 0 {
-		s = p.free[n-1]
-		p.free = p.free[:n-1]
-	} else {
-		s = new(jobState)
-	}
-	*s = jobState{state: NoRef, desired: -1}
-	p.jobs[job.ID] = s
+	p.jobs = sched.AtSlot(p.jobs, job.Slot)
+	p.jobs[job.Slot] = jobState{live: true, id: job.ID, state: NoRef, desired: -1}
 }
 
 // JobFinished implements sched.Policy.
-func (p *PDPA) JobFinished(now sim.Time, id sched.JobID) {
-	if s, ok := p.jobs[id]; ok {
-		p.free = append(p.free, s)
-		delete(p.jobs, id)
+func (p *PDPA) JobFinished(now sim.Time, job *sched.JobView) {
+	if s := p.lookup(job); s != nil {
+		s.live = false
 	}
 }
 
 // Reset reinitializes the policy to the state New(params) would produce,
-// recycling the per-job state structs and the plan map. History recording is
-// switched off and any attached trace detached, as on a fresh policy.
+// keeping the per-slot state's storage. History recording is switched off
+// and any attached trace detached, as on a fresh policy.
 func (p *PDPA) Reset(params Params) error {
 	if err := params.Validate(); err != nil {
 		return err
 	}
-	for id, s := range p.jobs {
-		p.free = append(p.free, s)
-		delete(p.jobs, id)
-	}
-	if p.jobs == nil {
-		p.jobs = make(map[sched.JobID]*jobState)
-	}
+	clear(p.jobs)
 	p.params = params
 	p.epoch = 0
 	p.transitions = 0
 	p.history = nil
 	p.recordHistory = false
-	if p.plan != nil {
-		clear(p.plan)
-	}
 	p.tr = nil
 	return nil
 }
@@ -273,8 +265,8 @@ func (p *PDPA) Reset(params Params) error {
 // ReportPerformance implements sched.Policy: it runs one step of the state
 // machine of Fig. 2 for the reporting application.
 func (p *PDPA) ReportPerformance(now sim.Time, job *sched.JobView, r sched.Report) {
-	s, ok := p.jobs[job.ID]
-	if !ok {
+	s := p.lookup(job)
+	if s == nil {
 		return
 	}
 	procs := r.Procs
@@ -433,17 +425,11 @@ func (p *PDPA) shrink(s *jobState, procs int) {
 // Plan implements sched.Policy. New applications receive the minimum of
 // their request and the free processors (at least one); applications with
 // performance knowledge receive their state machine's desired allocation.
-func (p *PDPA) Plan(v sched.View) map[sched.JobID]int {
-	if p.plan == nil {
-		p.plan = make(map[sched.JobID]int, len(v.Jobs))
-	} else {
-		clear(p.plan)
-	}
-	plan := p.plan
+func (p *PDPA) Plan(v *sched.View) {
 	free := v.FreeCPUs()
 	for _, job := range v.Jobs {
-		s, ok := p.jobs[job.ID]
-		if !ok {
+		s := p.lookup(job)
+		if s == nil {
 			continue
 		}
 		// Initial allocation (Section 4.2.1): the minimum of the request
@@ -468,9 +454,8 @@ func (p *PDPA) Plan(v sched.View) map[sched.JobID]int {
 				free = 0
 			}
 		}
-		plan[job.ID] = s.desired
+		job.Want = s.desired
 	}
-	return plan
 }
 
 // WantsNewJob implements sched.Policy: the multiprogramming-level policy of
@@ -479,7 +464,7 @@ func (p *PDPA) Plan(v sched.View) map[sched.JobID]int {
 // every running application's allocation has settled — it is STABLE, or it
 // is shrinking (DEC: bad performance means it will not take more
 // processors).
-func (p *PDPA) WantsNewJob(v sched.View) bool {
+func (p *PDPA) WantsNewJob(v *sched.View) bool {
 	if len(v.Jobs) < p.params.BaseMPL {
 		// Below the default multiprogramming level admission is
 		// unconditional, like the fixed-level policies; the
@@ -493,11 +478,7 @@ func (p *PDPA) WantsNewJob(v sched.View) bool {
 		return false
 	}
 	for _, job := range v.Jobs {
-		s, ok := p.jobs[job.ID]
-		if !ok {
-			continue
-		}
-		if s.state == NoRef || s.state == Inc {
+		if s := p.lookup(job); s != nil && (s.state == NoRef || s.state == Inc) {
 			p.recordAdmission(v, obs.KindDeny, obs.ReasonUnsettled, int32(job.ID))
 			return false
 		}
@@ -508,7 +489,7 @@ func (p *PDPA) WantsNewJob(v sched.View) bool {
 
 // recordAdmission traces one WantsNewJob verdict; blocking names the
 // unsettled job a denial is waiting on (-1 when not applicable).
-func (p *PDPA) recordAdmission(v sched.View, kind obs.Kind, reason obs.Reason, blocking int32) {
+func (p *PDPA) recordAdmission(v *sched.View, kind obs.Kind, reason obs.Reason, blocking int32) {
 	if p.tr == nil {
 		return
 	}

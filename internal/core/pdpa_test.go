@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"pdpasim/internal/app"
@@ -29,56 +30,51 @@ func newHarness(t *testing.T, params Params, ncpu int) *harness {
 	}
 }
 
+// start places a job in the lowest free slot, as the manager's recycling
+// does, and keeps the view sorted by ID.
 func (h *harness) start(id sched.JobID, request int, curve app.SpeedupModel) {
 	jv := &sched.JobView{ID: id, Name: "job", Request: request}
+	for slices.ContainsFunc(h.view.Jobs, func(j *sched.JobView) bool { return j.Slot == jv.Slot }) {
+		jv.Slot++
+	}
 	h.jobs[id] = jv
 	h.curve[id] = curve
 	h.view.Jobs = append(h.view.Jobs, jv)
-	h.view.SortJobs()
+	slices.SortFunc(h.view.Jobs, func(a, b *sched.JobView) int { return int(a.ID - b.ID) })
 	h.p.JobStarted(h.now, jv)
 	h.plan()
 }
 
 func (h *harness) finish(id sched.JobID) {
-	h.p.JobFinished(h.now, id)
+	h.p.JobFinished(h.now, h.jobs[id])
 	delete(h.jobs, id)
-	jobs := h.view.Jobs[:0]
-	for _, j := range h.view.Jobs {
-		if j.ID != id {
-			jobs = append(jobs, j)
-		}
-	}
-	h.view.Jobs = jobs
+	h.view.Jobs = slices.DeleteFunc(h.view.Jobs, func(j *sched.JobView) bool { return j.ID == id })
 	h.plan()
 }
 
 // plan applies the policy plan with the manager's clamping rules: shrinks
 // first, then grows bounded by free processors.
 func (h *harness) plan() {
-	plan := h.p.Plan(h.view)
-	for id, want := range plan {
-		jv := h.jobs[id]
-		if want < jv.Allocated {
-			jv.Allocated = want
+	for _, jv := range h.view.Jobs {
+		jv.Want = sched.Keep
+	}
+	h.p.Plan(&h.view)
+	for _, jv := range h.view.Jobs {
+		if jv.Want >= 0 && jv.Want < jv.Allocated {
+			jv.Allocated = jv.Want
 		}
 	}
-	for id, want := range plan {
-		jv := h.jobs[id]
-		if want > jv.Allocated {
-			free := h.view.FreeCPUs()
-			grant := want - jv.Allocated
-			if grant > free {
-				grant = free
-			}
-			jv.Allocated += grant
+	for _, jv := range h.view.Jobs {
+		if jv.Want > jv.Allocated {
+			jv.Allocated += min(jv.Want-jv.Allocated, h.view.FreeCPUs())
 		}
 	}
 	// Run-to-completion: every running job keeps at least one processor,
 	// preempting from the largest allocation if the machine is full.
-	for _, jv := range h.jobs {
+	for _, jv := range h.view.Jobs {
 		for jv.Allocated < 1 {
 			var biggest *sched.JobView
-			for _, other := range h.jobs {
+			for _, other := range h.view.Jobs {
 				if biggest == nil || other.Allocated > biggest.Allocated {
 					biggest = other
 				}
@@ -418,7 +414,7 @@ func TestWantsNewJobBelowBaseMPL(t *testing.T) {
 	// 3 jobs (below the base level of 4): admit regardless of the jobs'
 	// states — the default-level semantics shared with the fixed-level
 	// policies (the run-to-completion minimum finds the newcomer a CPU).
-	if !h.p.WantsNewJob(h.view) {
+	if !h.p.WantsNewJob(&h.view) {
 		t.Fatal("admission below base MPL must be allowed")
 	}
 	// Beyond the base level, a free processor is required.
@@ -429,7 +425,7 @@ func TestWantsNewJobBelowBaseMPL(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		h2.settle(sched.JobID(i), 30)
 	}
-	if h2.view.FreeCPUs() == 0 && h2.p.WantsNewJob(h2.view) {
+	if h2.view.FreeCPUs() == 0 && h2.p.WantsNewJob(&h2.view) {
 		t.Fatal("admitted beyond base MPL with no free processor")
 	}
 }
@@ -440,13 +436,13 @@ func TestWantsNewJobRequiresStability(t *testing.T) {
 		h.start(sched.JobID(i), 30, btCurve())
 	}
 	// All four running but NO_REF: admission beyond base must wait.
-	if h.p.WantsNewJob(h.view) {
+	if h.p.WantsNewJob(&h.view) {
 		t.Fatal("admitted with NO_REF jobs at base MPL")
 	}
 	for i := 0; i < 4; i++ {
 		h.settle(sched.JobID(i), 30)
 	}
-	if !h.p.WantsNewJob(h.view) {
+	if !h.p.WantsNewJob(&h.view) {
 		t.Fatal("not admitted with all jobs stable and free CPUs")
 	}
 }
@@ -460,7 +456,7 @@ func TestWantsNewJobRequiresFreeCPU(t *testing.T) {
 		h.settle(sched.JobID(i), 30)
 	}
 	// 4 bt jobs on 60 CPUs: allocations sum to 60 (15 each or so): no free.
-	if h.view.FreeCPUs() == 0 && h.p.WantsNewJob(h.view) {
+	if h.view.FreeCPUs() == 0 && h.p.WantsNewJob(&h.view) {
 		t.Fatal("admitted with zero free CPUs beyond base MPL")
 	}
 }
@@ -473,7 +469,7 @@ func TestWantsNewJobAllowsDecJobs(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		h.report(sched.JobID(i)) // apsi at 2: STABLE immediately
 	}
-	if !h.p.WantsNewJob(h.view) {
+	if !h.p.WantsNewJob(&h.view) {
 		t.Fatal("apsi workload should admit more jobs (paper reaches ML 34)")
 	}
 }
@@ -481,12 +477,41 @@ func TestWantsNewJobAllowsDecJobs(t *testing.T) {
 func TestJobFinishedCleansUp(t *testing.T) {
 	h := newHarness(t, DefaultParams(), 60)
 	h.start(1, 30, btCurve())
+	finished := h.jobs[1]
 	h.finish(1)
 	if h.p.StateOf(1) != NoRef {
 		t.Fatal("finished job state retained")
 	}
-	if len(h.p.Plan(h.view)) != 0 {
-		t.Fatal("plan contains finished job")
+	// A stale view of the finished job gets no wish from Plan.
+	finished.Want = sched.Keep
+	h.p.Plan(&sched.View{NCPU: 60, Jobs: []*sched.JobView{finished}})
+	if finished.Want != sched.Keep {
+		t.Fatalf("plan wants %d for a finished job", finished.Want)
+	}
+}
+
+// TestSlotReuseStartsFresh finishes a job that has left NO_REF and starts a
+// new one in the same slot: the newcomer must see fresh state (NO_REF, no
+// desired allocation yet), not the previous occupant's.
+func TestSlotReuseStartsFresh(t *testing.T) {
+	h := newHarness(t, DefaultParams(), 60)
+	h.start(1, 30, hydroCurve())
+	h.settle(1, 30)
+	if h.p.StateOf(1) == NoRef {
+		t.Fatal("fixture: job 1 never left NO_REF")
+	}
+	slot := h.jobs[1].Slot
+	h.finish(1)
+	jv := &sched.JobView{ID: 2, Slot: slot, Request: 30}
+	h.p.JobStarted(h.now, jv)
+	if got := h.p.StateOf(2); got != NoRef {
+		t.Fatalf("new job in a reused slot starts in %v, want NO_REF", got)
+	}
+	if s := h.p.lookup(jv); s == nil || s.desired != -1 || s.searched || s.stableLeaves != 0 || s.prevProcs != 0 {
+		t.Fatalf("state leaked from the slot's previous job: %+v", s)
+	}
+	if h.p.StateOf(1) != NoRef {
+		t.Fatal("finished job still reported after its slot was reused")
 	}
 }
 
@@ -608,12 +633,12 @@ func TestAdaptiveValidation(t *testing.T) {
 func TestAdaptiveTargetTracksQueue(t *testing.T) {
 	a := MustNewAdaptive(DefaultParams(), 0.5, 0.9, 10)
 	// Empty queue: relax to the minimum.
-	a.Plan(sched.View{NCPU: 60, Queued: 0})
+	a.Plan(&sched.View{NCPU: 60, Queued: 0})
 	if got := a.Params().TargetEff; got != 0.5 {
 		t.Fatalf("empty-queue target = %v, want 0.5", got)
 	}
 	// Deep queue: tighten to the maximum.
-	a.Plan(sched.View{NCPU: 60, Queued: 20})
+	a.Plan(&sched.View{NCPU: 60, Queued: 20})
 	if got := a.Params().TargetEff; got != 0.9 {
 		t.Fatalf("deep-queue target = %v, want 0.9", got)
 	}
@@ -621,7 +646,7 @@ func TestAdaptiveTargetTracksQueue(t *testing.T) {
 		t.Fatalf("high_eff %v fell below the target", a.Params().HighEff)
 	}
 	// Mid queue: interpolated.
-	a.Plan(sched.View{NCPU: 60, Queued: 5})
+	a.Plan(&sched.View{NCPU: 60, Queued: 5})
 	if got := a.Params().TargetEff; got < 0.65 || got > 0.75 {
 		t.Fatalf("mid-queue target = %v, want ~0.7", got)
 	}
@@ -629,11 +654,11 @@ func TestAdaptiveTargetTracksQueue(t *testing.T) {
 
 func TestAdaptiveHysteresis(t *testing.T) {
 	a := MustNewAdaptive(DefaultParams(), 0.5, 0.9, 100)
-	a.Plan(sched.View{NCPU: 60, Queued: 50}) // target 0.7
+	a.Plan(&sched.View{NCPU: 60, Queued: 50}) // target 0.7
 	before := a.Params().TargetEff
 	// A one-job wiggle (0.4% of range) must not change the parameters (and
 	// so must not reopen every STABLE application's search).
-	a.Plan(sched.View{NCPU: 60, Queued: 51})
+	a.Plan(&sched.View{NCPU: 60, Queued: 51})
 	if a.Params().TargetEff != before {
 		t.Fatalf("target moved on a tiny queue change: %v -> %v", before, a.Params().TargetEff)
 	}
@@ -650,12 +675,10 @@ func TestAdaptiveAllocatesByLoad(t *testing.T) {
 		a.JobStarted(0, jv)
 		view := sched.View{NCPU: 60, Jobs: []*sched.JobView{jv}, Queued: queued}
 		apply := func() {
-			plan := a.Plan(view)
-			if want, ok := plan[1]; ok {
-				if want > 60 {
-					want = 60
-				}
-				jv.Allocated = want
+			jv.Want = sched.Keep
+			a.Plan(&view)
+			if jv.Want >= 0 {
+				jv.Allocated = min(jv.Want, 60)
 			}
 		}
 		apply()

@@ -21,106 +21,75 @@ import (
 type Dynamic struct {
 	// Window is how many recent reports the curve fit uses.
 	Window int
-	alpha  map[sched.JobID]float64
+	// alpha is the fitted serialization parameter per job slot.
+	alpha []float64
 }
 
 // NewDynamic returns a Dynamic policy.
-func NewDynamic() *Dynamic {
-	return &Dynamic{Window: 3, alpha: map[sched.JobID]float64{}}
-}
+func NewDynamic() *Dynamic { return &Dynamic{Window: 3} }
 
 // Reset reinitializes the policy to the state NewDynamic would produce,
-// keeping the alpha map's storage.
+// keeping the alpha slice's storage.
 func (d *Dynamic) Reset() {
 	d.Window = 3
-	if d.alpha == nil {
-		d.alpha = map[sched.JobID]float64{}
-	} else {
-		clear(d.alpha)
-	}
+	clear(d.alpha)
 }
 
 // Name implements sched.Policy.
 func (d *Dynamic) Name() string { return "Dynamic" }
 
 // JobStarted implements sched.Policy.
-func (d *Dynamic) JobStarted(now sim.Time, job *sched.JobView) { d.alpha[job.ID] = 0 }
+func (d *Dynamic) JobStarted(now sim.Time, job *sched.JobView) {
+	d.alpha = sched.AtSlot(d.alpha, job.Slot)
+	d.alpha[job.Slot] = 0
+}
 
-// JobFinished implements sched.Policy.
-func (d *Dynamic) JobFinished(now sim.Time, id sched.JobID) { delete(d.alpha, id) }
+// JobFinished implements sched.Policy. The slot's fit is reset when the
+// next job starts in it.
+func (d *Dynamic) JobFinished(now sim.Time, job *sched.JobView) {}
 
 // ReportPerformance implements sched.Policy.
 func (d *Dynamic) ReportPerformance(now sim.Time, job *sched.JobView, r sched.Report) {
-	reports := job.Reports
-	if len(reports) > d.Window {
-		reports = reports[len(reports)-d.Window:]
-	}
-	sum, n := 0.0, 0
-	for _, rep := range reports {
-		if rep.Procs <= 1 || rep.Speedup <= 0 {
-			continue
-		}
-		sum += (float64(rep.Procs)/rep.Speedup - 1) / float64(rep.Procs-1)
-		n++
-	}
-	if n > 0 {
-		d.alpha[job.ID] = sum / float64(n)
+	if a, ok := fitAlpha(job.Reports, d.Window); ok {
+		d.alpha[job.Slot] = a
 	}
 }
 
-// fitted returns the modeled speedup of job at p processors.
-func (d *Dynamic) fitted(id sched.JobID, p int) float64 {
+// fitted returns the modeled speedup of the job in slot at p processors.
+func (d *Dynamic) fitted(slot, p int) float64 {
 	if p < 1 {
 		return 0
 	}
-	a := d.alpha[id]
-	den := 1 + a*float64(p-1)
-	if den < 0.05 {
-		den = 0.05
-	}
-	return float64(p) / den
+	return float64(p) / modelDen(d.alpha[slot], p)
 }
 
 // Plan implements sched.Policy: marginal-speedup water-filling. Each job
 // gets one processor (run-to-completion); each further processor goes to the
-// job with the largest fitted speedup gain.
-func (d *Dynamic) Plan(v sched.View) map[sched.JobID]int {
-	plan := make(map[sched.JobID]int, len(v.Jobs))
-	if len(v.Jobs) == 0 {
-		return plan
-	}
-	jobs := v.Jobs // already sorted by ascending ID (View contract)
-
+// job with the largest fitted speedup gain, the earliest on a tie.
+func (d *Dynamic) Plan(v *sched.View) {
 	remaining := v.NCPU
-	for _, j := range jobs {
-		if remaining == 0 {
-			plan[j.ID] = 0
-			continue
-		}
-		plan[j.ID] = 1
-		remaining--
+	for _, j := range v.Jobs {
+		j.Want = min(remaining, 1)
+		remaining -= j.Want
 	}
-	for remaining > 0 {
+	for ; remaining > 0; remaining-- {
 		var best *sched.JobView
 		bestGain := 0.0
-		for _, j := range jobs {
-			if plan[j.ID] >= j.Request {
+		for _, j := range v.Jobs {
+			if j.Want >= j.Request {
 				continue
 			}
-			gain := d.fitted(j.ID, plan[j.ID]+1) - d.fitted(j.ID, plan[j.ID])
-			if gain > bestGain {
+			if gain := d.fitted(j.Slot, j.Want+1) - d.fitted(j.Slot, j.Want); gain > bestGain {
 				best, bestGain = j, gain
 			}
 		}
 		if best == nil {
-			break
+			return
 		}
-		plan[best.ID]++
-		remaining--
+		best.Want++
 	}
-	return plan
 }
 
 // WantsNewJob implements sched.Policy: Dynamic runs under a fixed
 // multiprogramming level enforced by the queuing system.
-func (d *Dynamic) WantsNewJob(v sched.View) bool { return true }
+func (d *Dynamic) WantsNewJob(v *sched.View) bool { return true }

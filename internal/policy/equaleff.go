@@ -20,10 +20,9 @@ import (
 type EqualEfficiency struct {
 	// Window is how many recent reports the curve fit uses.
 	Window int
-	// alpha is the fitted serialization parameter per job: the model is
-	// S(p) = p / (1 + alpha·(p-1)), i.e. eff(p) = 1 / (1 + alpha·(p-1)).
-	// alpha 0 = perfect scaling; negative = superlinear.
-	alpha map[sched.JobID]float64
+	// alpha is the fitted serialization parameter per job slot (see
+	// fitAlpha).
+	alpha []float64
 	tr    *obs.Trace
 }
 
@@ -35,20 +34,14 @@ func (e *EqualEfficiency) SetTrace(tr *obs.Trace) { e.tr = tr }
 // the most recent report — the per-measurement sensitivity the paper
 // criticizes ('too sensitive to small changes in the efficiency
 // measurements'). Raise Window to damp it.
-func NewEqualEfficiency() *EqualEfficiency {
-	return &EqualEfficiency{Window: 1, alpha: map[sched.JobID]float64{}}
-}
+func NewEqualEfficiency() *EqualEfficiency { return &EqualEfficiency{Window: 1} }
 
 // Reset reinitializes the policy to the state NewEqualEfficiency would
-// produce (Window 1, no fits, trace detached), keeping the alpha map's
+// produce (Window 1, no fits, trace detached), keeping the alpha slice's
 // storage.
 func (e *EqualEfficiency) Reset() {
 	e.Window = 1
-	if e.alpha == nil {
-		e.alpha = map[sched.JobID]float64{}
-	} else {
-		clear(e.alpha)
-	}
+	clear(e.alpha)
 	e.tr = nil
 }
 
@@ -59,20 +52,38 @@ func (e *EqualEfficiency) Name() string { return "Equal_eff" }
 // perfectly until measured — the optimistic extrapolation the original
 // policy uses.
 func (e *EqualEfficiency) JobStarted(now sim.Time, job *sched.JobView) {
-	e.alpha[job.ID] = 0
+	e.alpha = sched.AtSlot(e.alpha, job.Slot)
+	e.alpha[job.Slot] = 0
 }
 
-// JobFinished implements sched.Policy.
-func (e *EqualEfficiency) JobFinished(now sim.Time, id sched.JobID) {
-	delete(e.alpha, id)
-}
+// JobFinished implements sched.Policy. The slot's fit is reset when the
+// next job starts in it.
+func (e *EqualEfficiency) JobFinished(now sim.Time, job *sched.JobView) {}
 
 // ReportPerformance implements sched.Policy: refit the job's efficiency
 // curve from its recent reports.
 func (e *EqualEfficiency) ReportPerformance(now sim.Time, job *sched.JobView, r sched.Report) {
-	reports := job.Reports
-	if len(reports) > e.Window {
-		reports = reports[len(reports)-e.Window:]
+	a, ok := fitAlpha(job.Reports, e.Window)
+	if !ok {
+		return
+	}
+	e.alpha[job.Slot] = a
+	if e.tr != nil {
+		e.tr.Record(obs.Event{
+			At: now, Kind: obs.KindExtrapolate, Job: int32(job.ID),
+			Procs: int32(r.Procs), Eff: r.Efficiency, Speedup: a,
+		})
+	}
+}
+
+// fitAlpha fits the serialization parameter of the model
+// S(p) = p / (1 + alpha·(p-1)), i.e. eff(p) = 1 / (1 + alpha·(p-1)), to the
+// last window reports: the mean of the model inverted at every usable
+// sample. alpha 0 = perfect scaling; negative = superlinear. ok is false
+// when no report was taken above one processor with a positive speedup.
+func fitAlpha(reports []sched.Report, window int) (alpha float64, ok bool) {
+	if len(reports) > window {
+		reports = reports[len(reports)-window:]
 	}
 	sum, n := 0.0, 0
 	for _, rep := range reports {
@@ -80,79 +91,51 @@ func (e *EqualEfficiency) ReportPerformance(now sim.Time, job *sched.JobView, r 
 			continue
 		}
 		// Invert the model at the sample: alpha = (p/S - 1) / (p - 1).
-		a := (float64(rep.Procs)/rep.Speedup - 1) / float64(rep.Procs-1)
-		sum += a
+		sum += (float64(rep.Procs)/rep.Speedup - 1) / float64(rep.Procs-1)
 		n++
 	}
-	if n == 0 {
-		return
-	}
-	e.alpha[job.ID] = sum / float64(n)
-	if e.tr != nil {
-		e.tr.Record(obs.Event{
-			At: now, Kind: obs.KindExtrapolate, Job: int32(job.ID),
-			Procs: int32(r.Procs), Eff: r.Efficiency, Speedup: e.alpha[job.ID],
-		})
-	}
+	return sum / float64(n), n > 0
 }
 
-// extrapolatedEff returns the fitted efficiency of the job at p processors.
-// The denominator is floored to keep superlinear (negative-alpha) fits from
-// diverging.
-func (e *EqualEfficiency) extrapolatedEff(id sched.JobID, p int) float64 {
-	a := e.alpha[id]
-	den := 1 + a*float64(p-1)
-	if den < 0.05 {
-		den = 0.05
-	}
-	return 1 / den
+// modelDen returns the model's denominator 1 + alpha·(p-1), floored to keep
+// superlinear (negative-alpha) fits from diverging.
+func modelDen(alpha float64, p int) float64 {
+	return max(1+alpha*float64(p-1), 0.05)
 }
 
 // Plan implements sched.Policy: water-filling by extrapolated efficiency.
 // Every job gets one processor (run-to-completion); each remaining processor
 // goes to the job, below its request, with the highest extrapolated
-// efficiency at its next processor.
-func (e *EqualEfficiency) Plan(v sched.View) map[sched.JobID]int {
-	plan := make(map[sched.JobID]int, len(v.Jobs))
-	if len(v.Jobs) == 0 {
-		return plan
-	}
-	jobs := v.Jobs // already sorted by ascending ID (View contract)
-
+// efficiency 1/modelDen at its next processor — the earliest such job on a
+// tie, since v.Jobs is sorted by ID.
+func (e *EqualEfficiency) Plan(v *sched.View) {
 	remaining := v.NCPU
-	for _, j := range jobs {
-		if remaining == 0 {
-			plan[j.ID] = 0
-			continue
-		}
-		plan[j.ID] = 1
-		remaining--
+	for _, j := range v.Jobs {
+		j.Want = min(remaining, 1)
+		remaining -= j.Want
 	}
-	for remaining > 0 {
+	for ; remaining > 0; remaining-- {
 		var best *sched.JobView
 		bestEff := -1.0
-		for _, j := range jobs {
-			if plan[j.ID] >= j.Request {
+		for _, j := range v.Jobs {
+			if j.Want >= j.Request {
 				continue
 			}
-			eff := e.extrapolatedEff(j.ID, plan[j.ID]+1)
-			if eff > bestEff {
+			if eff := 1 / modelDen(e.alpha[j.Slot], j.Want+1); eff > bestEff {
 				best, bestEff = j, eff
 			}
 		}
 		if best == nil {
-			break
+			return
 		}
-		plan[best.ID]++
-		remaining--
+		best.Want++
 	}
-	return plan
 }
 
 // WantsNewJob implements sched.Policy: Equal_efficiency runs under a fixed
 // multiprogramming level enforced by the queuing system.
-func (e *EqualEfficiency) WantsNewJob(v sched.View) bool { return true }
+func (e *EqualEfficiency) WantsNewJob(v *sched.View) bool { return true }
 
-// Alpha returns the fitted serialization parameter for a job (0 when
-// unknown) — exposed for tests and diagnostics.
-func (e *EqualEfficiency) Alpha(id sched.JobID) float64 { return e.alpha[id] }
+// Alpha returns the fitted serialization parameter of a running job —
+// exposed for tests and diagnostics.
+func (e *EqualEfficiency) Alpha(job *sched.JobView) float64 { return e.alpha[job.Slot] }

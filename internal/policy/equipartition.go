@@ -6,8 +6,6 @@
 package policy
 
 import (
-	"slices"
-
 	"pdpasim/internal/sched"
 	"pdpasim/internal/sim"
 )
@@ -17,105 +15,61 @@ import (
 // only at job arrival and completion (Section 3.3), which keeps the
 // schedule stable but ignores how well applications use their processors.
 type Equipartition struct {
-	// plan is the current allocation, recomputed only when the job set
-	// changes.
-	plan  map[sched.JobID]int
-	dirty bool
+	// unsat is Plan's scratch list of jobs still below their request.
+	unsat []*sched.JobView
 }
 
 // NewEquipartition returns an Equipartition policy.
-func NewEquipartition() *Equipartition {
-	return &Equipartition{plan: map[sched.JobID]int{}, dirty: true}
-}
-
-// Reset reinitializes the policy to its freshly constructed state, keeping
-// the plan map's storage.
-func (e *Equipartition) Reset() {
-	if e.plan == nil {
-		e.plan = map[sched.JobID]int{}
-	} else {
-		clear(e.plan)
-	}
-	e.dirty = true
-}
+func NewEquipartition() *Equipartition { return &Equipartition{} }
 
 // Name implements sched.Policy.
 func (e *Equipartition) Name() string { return "Equip" }
 
-// JobStarted implements sched.Policy: arrival triggers reallocation.
-func (e *Equipartition) JobStarted(now sim.Time, job *sched.JobView) { e.dirty = true }
+// JobStarted implements sched.Policy.
+func (e *Equipartition) JobStarted(now sim.Time, job *sched.JobView) {}
 
-// JobFinished implements sched.Policy: completion triggers reallocation.
-func (e *Equipartition) JobFinished(now sim.Time, id sched.JobID) {
-	delete(e.plan, id)
-	e.dirty = true
-}
+// JobFinished implements sched.Policy.
+func (e *Equipartition) JobFinished(now sim.Time, job *sched.JobView) {}
 
 // ReportPerformance implements sched.Policy. Equipartition ignores
 // application performance.
 func (e *Equipartition) ReportPerformance(now sim.Time, job *sched.JobView, r sched.Report) {}
 
-// Plan implements sched.Policy.
-func (e *Equipartition) Plan(v sched.View) map[sched.JobID]int {
-	if !e.dirty {
-		return e.plan
+// Plan implements sched.Policy: an equal division of the machine among the
+// jobs, capping each at its request. It repeatedly gives every unsatisfied
+// job an equal share of what remains, with ties broken toward earlier
+// arrivals (lower IDs); every job receives at least one processor when
+// possible. The division depends only on the job set and the requests, so
+// the plan changes only at arrivals and completions although it is
+// recomputed on every call.
+func (e *Equipartition) Plan(v *sched.View) {
+	unsat := e.unsat[:0]
+	for _, j := range v.Jobs {
+		j.Want = 0
+		unsat = append(unsat, j)
 	}
-	e.dirty = false
-	e.plan = Equipartitioned(v.NCPU, v.Jobs)
-	return e.plan
-}
-
-// WantsNewJob implements sched.Policy: Equipartition runs under a fixed
-// multiprogramming level enforced by the queuing system.
-func (e *Equipartition) WantsNewJob(v sched.View) bool { return true }
-
-// Equipartitioned computes an equal division of ncpu processors among jobs,
-// capping each at its request: repeatedly give every unsatisfied job an
-// equal share of what remains, with ties broken toward earlier arrivals
-// (lower IDs). Every job receives at least one processor when possible.
-func Equipartitioned(ncpu int, jobs []*sched.JobView) map[sched.JobID]int {
-	out := make(map[sched.JobID]int, len(jobs))
-	if len(jobs) == 0 {
-		return out
-	}
-	type item struct {
-		id  sched.JobID
-		req int
-	}
-	items := make([]item, 0, len(jobs))
-	for _, j := range jobs {
-		req := j.Request
-		if req < 1 {
-			req = 1
-		}
-		items = append(items, item{id: j.ID, req: req})
-		out[j.ID] = 0
-	}
-	slices.SortFunc(items, func(a, b item) int { return int(a.id - b.id) })
-
-	remaining := ncpu
-	unsat := items
+	e.unsat = unsat
+	remaining := v.NCPU
 	for remaining > 0 && len(unsat) > 0 {
 		share := remaining / len(unsat)
 		if share == 0 {
 			// Fewer processors than jobs: one each to the earliest until
 			// exhausted.
-			for i := 0; i < remaining; i++ {
-				out[unsat[i].id]++
+			for _, j := range unsat[:remaining] {
+				j.Want++
 			}
-			remaining = 0
-			break
+			return
 		}
 		progressed := false
 		next := unsat[:0]
-		for _, it := range unsat {
-			if it.req-out[it.id] <= share {
+		for _, j := range unsat {
+			if need := max(j.Request, 1) - j.Want; need <= share {
 				// Fully satisfiable within the fair share.
-				remaining -= it.req - out[it.id]
-				out[it.id] = it.req
+				remaining -= need
+				j.Want += need
 				progressed = true
 			} else {
-				next = append(next, it)
+				next = append(next, j)
 			}
 		}
 		unsat = next
@@ -123,15 +77,17 @@ func Equipartitioned(ncpu int, jobs []*sched.JobView) map[sched.JobID]int {
 			// Everyone wants more than the share: split evenly, leftovers
 			// to the earliest jobs.
 			extra := remaining % len(unsat)
-			for i, it := range unsat {
-				out[it.id] += share
+			for i, j := range unsat {
+				j.Want += share
 				if i < extra {
-					out[it.id]++
+					j.Want++
 				}
 			}
-			remaining = 0
-			break
+			return
 		}
 	}
-	return out
 }
+
+// WantsNewJob implements sched.Policy: Equipartition runs under a fixed
+// multiprogramming level enforced by the queuing system.
+func (e *Equipartition) WantsNewJob(v *sched.View) bool { return true }

@@ -1,6 +1,8 @@
 package rm
 
 import (
+	"slices"
+
 	"pdpasim/internal/machine"
 	"pdpasim/internal/nthlib"
 	"pdpasim/internal/obs"
@@ -9,11 +11,6 @@ import (
 	"pdpasim/internal/sim"
 	"pdpasim/internal/trace"
 )
-
-type managedJob struct {
-	view *sched.JobView
-	rt   *nthlib.Runtime
-}
 
 // SpaceManager enforces a dynamic space-sharing policy: each running job
 // owns a disjoint CPU partition, resized whenever the policy replans (job
@@ -25,28 +22,34 @@ type SpaceManager struct {
 	pol  sched.Policy
 	rec  *trace.Recorder
 
-	jobs             map[sched.JobID]*managedJob
+	// jobs is the running set sorted by ascending ID, the order a View
+	// promises, so it is handed to the policy as is. rts holds each running
+	// job's runtime, indexed by its slot.
+	jobs             []*sched.JobView
+	rts              []*nthlib.Runtime
 	admissionChanged func()
 	queued           func() int
 	replanning       bool
 	replanPending    bool
 	tr               *obs.Trace
 
-	// Snapshot scratch buffers, reused across calls because snapshot runs on
-	// every replan and admission check and the allocations dominate the GC
-	// profile. Two buffers, not one: an admission check (CanAdmit) can fire
-	// while replanOnce is still iterating its own snapshot, and must not
-	// clobber it. Policies never retain View.Jobs past the call.
-	admitScratch []*sched.JobView
-	planScratch  []*sched.JobView
+	// The views handed to the policy live here rather than on the stack: a
+	// pointer to a local escapes to the heap through the interface call. Two,
+	// not one: an admission check (CanAdmit) can fire while replanOnce is
+	// still iterating its plan, and must not clobber it. planView.Jobs is a
+	// copy of jobs, so a job started by such a nested admission does not
+	// shift the pass in progress. Policies never retain a view past the call.
+	planView  sched.View
+	admitView sched.View
 
 	// Free lists recycling per-job state across jobs and runs. Safe because
 	// nothing retains a job's view (or its Reports) past JobFinished: policies
 	// see views only during calls and the run result is assembled from the
-	// job tracks. reportsPool keeps grown Reports backing arrays — the
-	// dominant steady-state allocation site of a PDPA run.
+	// job tracks. A recycled view keeps its Slot, so slots stay dense: there
+	// are as many as views ever allocated. reportsPool keeps grown Reports
+	// backing arrays — the dominant steady-state allocation site of a PDPA
+	// run.
 	viewFree    []*sched.JobView
-	jobFree     []*managedJob
 	reportsPool [][]sched.Report
 }
 
@@ -60,13 +63,7 @@ func (m *SpaceManager) SetTrace(tr *obs.Trace) { m.tr = tr }
 
 // NewSpaceManager returns a manager driving pol over mach. rec may be nil.
 func NewSpaceManager(eng *sim.Engine, mach *machine.Machine, pol sched.Policy, rec *trace.Recorder) *SpaceManager {
-	return &SpaceManager{
-		eng:  eng,
-		mach: mach,
-		pol:  pol,
-		rec:  rec,
-		jobs: make(map[sched.JobID]*managedJob),
-	}
+	return &SpaceManager{eng: eng, mach: mach, pol: pol, rec: rec}
 }
 
 // Name implements Manager.
@@ -81,6 +78,15 @@ func (m *SpaceManager) Running() int { return len(m.jobs) }
 // SetAdmissionChanged implements Manager.
 func (m *SpaceManager) SetAdmissionChanged(fn func()) { m.admissionChanged = fn }
 
+// find returns the index of id in the running set, or -1.
+func (m *SpaceManager) find(id sched.JobID) int {
+	i, ok := slices.BinarySearchFunc(m.jobs, id, func(j *sched.JobView, id sched.JobID) int { return int(j.ID - id) })
+	if !ok {
+		return -1
+	}
+	return i
+}
+
 // StartJob implements Manager.
 func (m *SpaceManager) StartJob(id sched.JobID, rt *nthlib.Runtime) {
 	var view *sched.JobView
@@ -88,7 +94,8 @@ func (m *SpaceManager) StartJob(id sched.JobID, rt *nthlib.Runtime) {
 		view = m.viewFree[n-1]
 		m.viewFree = m.viewFree[:n-1]
 	} else {
-		view = new(sched.JobView)
+		view = &sched.JobView{Slot: len(m.rts)}
+		m.rts = append(m.rts, nil)
 	}
 	var reports []sched.Report
 	if n := len(m.reportsPool); n > 0 {
@@ -97,43 +104,43 @@ func (m *SpaceManager) StartJob(id sched.JobID, rt *nthlib.Runtime) {
 	}
 	*view = sched.JobView{
 		ID:      id,
+		Slot:    view.Slot,
 		Name:    rt.Profile().Name,
 		Request: rt.Request(),
 		Gran:    rt.Granularity(),
 		Arrived: m.eng.Now(),
 		Reports: reports,
 	}
-	var j *managedJob
-	if n := len(m.jobFree); n > 0 {
-		j = m.jobFree[n-1]
-		m.jobFree = m.jobFree[:n-1]
-	} else {
-		j = new(managedJob)
+	m.rts[view.Slot] = rt
+	// Insert into the ID-sorted running set. IDs mostly arrive in increasing
+	// order (a queue order like SJF need not), so the common case is a plain
+	// append.
+	m.jobs = append(m.jobs, view)
+	for i := len(m.jobs) - 1; i > 0 && m.jobs[i-1].ID > id; i-- {
+		m.jobs[i-1], m.jobs[i] = m.jobs[i], m.jobs[i-1]
 	}
-	*j = managedJob{view: view, rt: rt}
-	m.jobs[id] = j
 	m.pol.JobStarted(m.eng.Now(), view)
 	m.replan()
 }
 
-// recycleJob returns a finished job's view, Reports backing array, and
-// managedJob struct to the free lists.
-func (m *SpaceManager) recycleJob(j *managedJob) {
-	if r := j.view.Reports; cap(r) > 0 {
+// recycleJob returns a finished job's view and Reports backing array to the
+// free lists.
+func (m *SpaceManager) recycleJob(view *sched.JobView) {
+	if r := view.Reports; cap(r) > 0 {
 		m.reportsPool = append(m.reportsPool, r[:0])
 	}
-	*j.view = sched.JobView{}
-	m.viewFree = append(m.viewFree, j.view)
-	*j = managedJob{}
-	m.jobFree = append(m.jobFree, j)
+	m.rts[view.Slot] = nil
+	*view = sched.JobView{Slot: view.Slot}
+	m.viewFree = append(m.viewFree, view)
 }
 
 // ReportPerformance implements Manager.
 func (m *SpaceManager) ReportPerformance(id sched.JobID, meas selfanalyzer.Measurement) {
-	j, ok := m.jobs[id]
-	if !ok {
+	i := m.find(id)
+	if i < 0 {
 		return
 	}
+	view := m.jobs[i]
 	r := sched.Report{
 		At:         m.eng.Now(),
 		Procs:      meas.Procs,
@@ -141,27 +148,28 @@ func (m *SpaceManager) ReportPerformance(id sched.JobID, meas selfanalyzer.Measu
 		Efficiency: meas.Efficiency,
 		IterTime:   meas.IterTime,
 	}
-	j.view.Reports = append(j.view.Reports, r)
+	view.Reports = append(view.Reports, r)
 	if m.tr != nil {
 		m.tr.Record(obs.Event{
 			At: r.At, Kind: obs.KindReport, Job: int32(id),
 			Procs: int32(r.Procs), Eff: r.Efficiency, Speedup: r.Speedup,
 		})
 	}
-	m.pol.ReportPerformance(m.eng.Now(), j.view, r)
+	m.pol.ReportPerformance(m.eng.Now(), view, r)
 	m.replan()
 }
 
 // JobFinished implements Manager.
 func (m *SpaceManager) JobFinished(id sched.JobID) {
-	j, ok := m.jobs[id]
-	if !ok {
+	i := m.find(id)
+	if i < 0 {
 		return
 	}
+	view := m.jobs[i]
+	m.jobs = slices.Delete(m.jobs, i, i+1)
 	m.mach.Release(m.eng.Now(), int(id))
-	m.pol.JobFinished(m.eng.Now(), id)
-	delete(m.jobs, id)
-	m.recycleJob(j)
+	m.pol.JobFinished(m.eng.Now(), view)
+	m.recycleJob(view)
 	m.replan()
 }
 
@@ -170,13 +178,10 @@ func (m *SpaceManager) JobFinished(id sched.JobID) {
 // machine, and policy stay attached (callers reset those separately); any
 // queued-func, admission hook, and trace are detached.
 func (m *SpaceManager) Reset(rec *trace.Recorder) {
-	for id, j := range m.jobs {
-		delete(m.jobs, id)
-		m.recycleJob(j)
+	for _, view := range m.jobs {
+		m.recycleJob(view)
 	}
-	if m.jobs == nil {
-		m.jobs = make(map[sched.JobID]*managedJob)
-	}
+	m.jobs = m.jobs[:0]
 	m.rec = rec
 	m.admissionChanged = nil
 	m.queued = nil
@@ -187,25 +192,19 @@ func (m *SpaceManager) Reset(rec *trace.Recorder) {
 
 // CanAdmit implements Manager.
 func (m *SpaceManager) CanAdmit() bool {
-	return m.pol.WantsNewJob(m.snapshot(&m.admitScratch))
+	m.fillView(&m.admitView)
+	m.admitView.Jobs = m.jobs
+	return m.pol.WantsNewJob(&m.admitView)
 }
 
-func (m *SpaceManager) snapshot(scratch *[]*sched.JobView) sched.View {
-	jobs := (*scratch)[:0]
-	for _, j := range m.jobs {
-		jobs = append(jobs, j.view)
-	}
-	v := sched.View{
-		Now:  m.eng.Now(),
-		NCPU: m.mach.NCPU(),
-		Jobs: jobs,
-	}
+// fillView sets the machine-wide fields of a view handed to the policy.
+func (m *SpaceManager) fillView(v *sched.View) {
+	v.Now = m.eng.Now()
+	v.NCPU = m.mach.NCPU()
+	v.Queued = 0
 	if m.queued != nil {
 		v.Queued = m.queued()
 	}
-	v.SortJobs()
-	*scratch = v.Jobs
-	return v
 }
 
 // replan asks the policy for the desired allocation and applies it to the
@@ -240,33 +239,28 @@ func (m *SpaceManager) replanOnce() {
 		return
 	}
 	now := m.eng.Now()
-	view := m.snapshot(&m.planScratch)
-	plan := m.pol.Plan(view)
-
-	// view.Jobs is already sorted by ascending ID; iterate it directly
-	// instead of materialising a separate id list.
-	ids := view.Jobs
+	v := &m.planView
+	m.fillView(v)
+	v.Jobs = append(v.Jobs[:0], m.jobs...)
+	for _, j := range v.Jobs {
+		j.Want = sched.Keep
+	}
+	m.pol.Plan(v)
 
 	// Shrinks release processors before any growth claims them.
-	for _, jv := range ids {
-		j := m.jobs[jv.ID]
-		want, ok := plan[jv.ID]
-		if !ok {
+	for _, j := range v.Jobs {
+		if j.Want < 0 {
 			continue
 		}
-		want = m.roundToGranularity(j, want)
-		if want < j.view.Allocated {
+		if want := m.roundToGranularity(j, j.Want); want < j.Allocated {
 			m.apply(now, j, want)
 		}
 	}
-	for _, jv := range ids {
-		j := m.jobs[jv.ID]
-		want, ok := plan[jv.ID]
-		if !ok {
+	for _, j := range v.Jobs {
+		if j.Want < 0 {
 			continue
 		}
-		want = m.roundToGranularity(j, want)
-		if want > j.view.Allocated {
+		if want := m.roundToGranularity(j, j.Want); want > j.Allocated {
 			m.applyGrow(now, j, want)
 		}
 	}
@@ -277,16 +271,12 @@ func (m *SpaceManager) replanOnce() {
 	// forever on a machine whose policy plans in smaller units. (A policy
 	// that plans below a rigid job's request can never run it; the paper's
 	// Section 4.3 calls this the fragmentation cost of rigidity.)
-	for _, jv := range ids {
-		j := m.jobs[jv.ID]
-		g := j.rt.Granularity()
-		if g <= 1 || j.view.Allocated >= g {
+	for _, j := range v.Jobs {
+		g := j.Gran
+		if g <= 1 || j.Allocated >= g {
 			continue
 		}
-		fit := m.mach.FreeCPUs() / g * g
-		if fit > j.view.Request {
-			fit = j.view.Request
-		}
+		fit := min(m.mach.FreeCPUs()/g*g, j.Request)
 		if fit >= g {
 			m.apply(now, j, fit)
 		}
@@ -296,17 +286,16 @@ func (m *SpaceManager) replanOnce() {
 	// processor from the largest partition. Granular (MPI) jobs instead
 	// wait for a whole multiple of their process count — the fragmentation
 	// cost of rigidity (Section 4.3).
-	for _, jv := range ids {
-		starving := m.jobs[jv.ID]
-		if starving.rt.Granularity() > 1 {
+	for _, starving := range v.Jobs {
+		if starving.Gran > 1 {
 			continue
 		}
-		for starving.view.Allocated < 1 {
-			victim := m.largestPartition(jv.ID)
-			if victim == nil || victim.view.Allocated <= 1 {
+		for starving.Allocated < 1 {
+			victim := m.largestPartition(starving.ID)
+			if victim == nil || victim.Allocated <= 1 {
 				break
 			}
-			m.apply(now, victim, victim.view.Allocated-1)
+			m.apply(now, victim, victim.Allocated-1)
 			m.apply(now, starving, 1)
 		}
 	}
@@ -316,19 +305,14 @@ func (m *SpaceManager) replanOnce() {
 // actually use: non-negative, capped at the request, and a whole multiple of
 // the job's granularity. A running granular job is never shrunk below one
 // processor per process.
-func (m *SpaceManager) roundToGranularity(j *managedJob, want int) int {
-	if want < 0 {
-		want = 0
-	}
-	if want > j.view.Request {
-		want = j.view.Request
-	}
-	g := j.rt.Granularity()
+func (m *SpaceManager) roundToGranularity(j *sched.JobView, want int) int {
+	want = min(max(want, 0), j.Request)
+	g := j.Gran
 	if g <= 1 {
 		return want
 	}
 	want = want / g * g
-	if want < g && j.view.Allocated >= g {
+	if want < g && j.Allocated >= g {
 		want = g
 	}
 	return want
@@ -337,50 +321,45 @@ func (m *SpaceManager) roundToGranularity(j *managedJob, want int) int {
 // applyGrow grows a partition, all-or-nothing in granularity units: the
 // grant is pre-clamped to the free processors so a rigid job never receives
 // a fraction of a process.
-func (m *SpaceManager) applyGrow(now sim.Time, j *managedJob, want int) {
-	g := j.rt.Granularity()
-	if g > 1 {
-		available := j.view.Allocated + m.mach.FreeCPUs()
+func (m *SpaceManager) applyGrow(now sim.Time, j *sched.JobView, want int) {
+	if g := j.Gran; g > 1 {
+		available := j.Allocated + m.mach.FreeCPUs()
 		if want > available {
 			want = available / g * g
 		}
-		if want <= j.view.Allocated {
+		if want <= j.Allocated {
 			return
 		}
 	}
 	m.apply(now, j, want)
 }
 
-func (m *SpaceManager) largestPartition(excluding sched.JobID) *managedJob {
-	var best *managedJob
-	bestID := sched.JobID(-1)
-	for id, j := range m.jobs {
-		if id == excluding {
-			continue
-		}
-		if best == nil || j.view.Allocated > best.view.Allocated ||
-			(j.view.Allocated == best.view.Allocated && id < bestID) {
+// largestPartition returns the running job with the most processors, the
+// lowest ID on a tie, other than excluding.
+func (m *SpaceManager) largestPartition(excluding sched.JobID) *sched.JobView {
+	var best *sched.JobView
+	for _, j := range m.jobs {
+		if j.ID != excluding && (best == nil || j.Allocated > best.Allocated) {
 			best = j
-			bestID = id
 		}
 	}
 	return best
 }
 
-func (m *SpaceManager) apply(now sim.Time, j *managedJob, want int) {
-	granted := m.mach.Resize(now, int(j.view.ID), want)
-	if granted == j.view.Allocated {
+func (m *SpaceManager) apply(now sim.Time, j *sched.JobView, want int) {
+	granted := m.mach.Resize(now, int(j.ID), want)
+	if granted == j.Allocated {
 		return
 	}
 	if m.tr != nil {
 		m.tr.Record(obs.Event{
-			At: now, Kind: obs.KindRealloc, Job: int32(j.view.ID),
-			From: int32(j.view.Allocated), To: int32(granted), Want: int32(want),
+			At: now, Kind: obs.KindRealloc, Job: int32(j.ID),
+			From: int32(j.Allocated), To: int32(granted), Want: int32(want),
 		})
 	}
-	j.view.Allocated = granted
-	j.rt.SetAllocation(granted)
+	j.Allocated = granted
+	m.rts[j.Slot].SetAllocation(granted)
 	if m.rec != nil {
-		m.rec.ObserveAllocation(now, int(j.view.ID), granted)
+		m.rec.ObserveAllocation(now, int(j.ID), granted)
 	}
 }

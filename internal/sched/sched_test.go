@@ -31,13 +31,18 @@ func TestViewFreeCPUs(t *testing.T) {
 	}
 }
 
-func TestViewSortJobs(t *testing.T) {
-	v := View{Jobs: []*JobView{{ID: 3}, {ID: 1}, {ID: 2}}}
-	v.SortJobs()
-	for i, want := range []JobID{1, 2, 3} {
-		if v.Jobs[i].ID != want {
-			t.Fatalf("order = %v %v %v", v.Jobs[0].ID, v.Jobs[1].ID, v.Jobs[2].ID)
-		}
+func TestAtSlot(t *testing.T) {
+	var s []float64
+	s = AtSlot(s, 2)
+	if len(s) != 3 || s[2] != 0 {
+		t.Fatalf("AtSlot(nil, 2) = %v", s)
+	}
+	s[1] = 7
+	if got := AtSlot(s, 1); len(got) != 3 || got[1] != 7 {
+		t.Fatalf("AtSlot on an existing slot changed the slice: %v", got)
+	}
+	if got := AtSlot(s, 4); len(got) != 5 || got[1] != 7 || got[4] != 0 {
+		t.Fatalf("AtSlot(s, 4) = %v", got)
 	}
 }
 

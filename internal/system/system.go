@@ -393,8 +393,6 @@ func (s *System) manager(c *Config) (rm.Manager, error) {
 	case Equipartition:
 		if s.equip == nil {
 			s.equip = policy.NewEquipartition()
-		} else {
-			s.equip.Reset()
 		}
 		return s.spaceManager(Equipartition, s.equip), nil
 	case EqualEfficiency:
